@@ -125,7 +125,7 @@ ResumeResult RunResumeConfig(const focus::video::StreamRun& run, const focus::cn
   fs::remove_all(uninterrupted_dir);
   IngestOptions opts = base;
   opts.persist_dir = uninterrupted_dir.string();
-  const IngestResult uninterrupted = core::RunIngestResumable(run, cheap, Params(), opts);
+  const IngestResult uninterrupted = core::RunIngest(run, cheap, Params(), opts);
 
   // Crash a persistent run at the crash point.
   const fs::path crashed_dir = state_root / "crashed";
@@ -133,7 +133,7 @@ ResumeResult RunResumeConfig(const focus::video::StreamRun& run, const focus::cn
   opts = base;
   opts.persist_dir = crashed_dir.string();
   opts.crash_after_frames = out.crash_frame;
-  core::RunIngestResumable(run, cheap, Params(), opts);
+  core::RunIngest(run, cheap, Params(), opts);
 
   // Both strategies are idempotent (replay is stateless; a crashed resume
   // re-recovers the same checkpoint), so the two are measured in interleaved
@@ -152,7 +152,7 @@ ResumeResult RunResumeConfig(const focus::video::StreamRun& run, const focus::cn
   opts = base;
   opts.persist_dir = crashed_dir.string();
   opts.crash_after_frames = 0;
-  const IngestResult probe = core::RunIngestResumable(run, cheap, Params(), opts);
+  const IngestResult probe = core::RunIngest(run, cheap, Params(), opts);
   out.resume_frame = probe.resumed_from_frame;
   opts.crash_after_frames = out.crash_frame - out.resume_frame;
 
@@ -161,7 +161,7 @@ ResumeResult RunResumeConfig(const focus::video::StreamRun& run, const focus::cn
   // picks), then warm both paths once untimed.
   ::sync();
   core::RunIngest(run, cheap, Params(), replay);
-  core::RunIngestResumable(run, cheap, Params(), opts);
+  core::RunIngest(run, cheap, Params(), opts);
 
   (void)generator_baseline_ms;  // Reported in the banner; reps re-measure it.
   for (int rep = 0; rep < kReps; ++rep) {
@@ -184,7 +184,7 @@ ResumeResult RunResumeConfig(const focus::video::StreamRun& run, const focus::cn
     out.replay_gpu_millis = replay_result.gpu_millis;
     // Resume: recovery + the re-processed checkpoint window.
     t0 = Clock::now();
-    const IngestResult to_crash = core::RunIngestResumable(run, cheap, Params(), opts);
+    const IngestResult to_crash = core::RunIngest(run, cheap, Params(), opts);
     const double resume_ms = std::max(kFloorMs, MillisSince(t0) - sweep_ms);
     // Counters are cumulative (checkpoint + window): the window's GPU bill is
     // what resume actually re-pays.
@@ -201,7 +201,7 @@ ResumeResult RunResumeConfig(const focus::video::StreamRun& run, const focus::cn
   // byte-identical to the uninterrupted run's.
   opts.crash_after_frames = -1;
   const auto t0 = Clock::now();
-  const IngestResult resumed = core::RunIngestResumable(run, cheap, Params(), opts);
+  const IngestResult resumed = core::RunIngest(run, cheap, Params(), opts);
   out.complete_resume_ms = MillisSince(t0);
   out.identical = IndexBytes(resumed) == IndexBytes(uninterrupted) &&
                   resumed.gpu_millis == uninterrupted.gpu_millis &&

@@ -90,9 +90,9 @@ struct LiveQueryRow {
   // sub-millisecond and swing with scheduler noise.
   bool gated = false;
   // Background publication mode: the builder thread assembles and publishes,
-  // incremental boundary merges at every cadence, and publish_total_ms counts
-  // only the ingest thread's share (cut + queue stall) — the cost the mode
-  // exists to hide. Sync rows keep the historical whole-publication sum.
+  // and publish_total_ms counts only the ingest thread's share (cut + queue
+  // stall) — the cost the mode exists to hide. Sync rows keep the historical
+  // whole-publication sum.
   bool background = false;
   int64_t stream_frames = 0;   // Frames fed before the query moment.
   int64_t watermark = 0;       // Newest snapshot's watermark at that moment.
@@ -144,7 +144,6 @@ LiveQueryRow RunConfig(const focus::video::StreamRun& run, const ClassifiedSampl
     int64_t rebuilt = 0;
     IngestOptions live = options;
     live.background_publish = background;
-    live.incremental_boundary_merge = background;
     // In background mode the sink runs on the builder thread, but the ingest
     // loop is blocked inside RunIngestClassified until the final flush joins,
     // so these captures are never touched concurrently.

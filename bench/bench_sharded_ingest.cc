@@ -131,7 +131,6 @@ ConfigResult RunConfig(ClustererOptions::Mode mode, const char* mode_name, size_
     sopts.base.max_active = active;
     sopts.base.mode = mode;
     sopts.num_shards = num_shards;
-    sopts.merge_interval = 8192;
     ShardedClusterer sharded(sopts);
     focus::runtime::WorkerPool pool(static_cast<int>(num_shards), num_shards * 2,
                                     /*pop_batch=*/1);
@@ -142,13 +141,6 @@ ConfigResult RunConfig(ClustererOptions::Mode mode, const char* mode_name, size_
       const size_t count = std::min(kBatch, warmup - offset);
       sharded.AssignBatch(items.data() + offset, count, &pool, ids.data() + offset);
     }
-    // Fold the warmup backlog before the clock starts: warmup creates the
-    // whole active set at once, so the first periodic (incremental) merge
-    // pass would otherwise pay for every warmup cluster inside the measured
-    // window — a bench artifact; live streams grow clusters gradually and
-    // each periodic pass stays small (the measured window still runs its own
-    // periodic passes).
-    sharded.MergePass();
     auto t0 = std::chrono::steady_clock::now();
     for (size_t offset = warmup; offset < total; offset += kBatch) {
       const size_t count = std::min(kBatch, total - offset);
@@ -221,7 +213,8 @@ int main() {
       std::fprintf(f,
                    "    {\"mode\": \"%s\", \"dim\": %zu, \"active\": %zu, \"assigns\": %lld, "
                    "\"seq_ns_per_assign\": %.1f, \"shards\": [\n",
-                   cfg.mode.c_str(), cfg.dim, cfg.active, static_cast<long long>(cfg.assigns));
+                   cfg.mode.c_str(), cfg.dim, cfg.active, static_cast<long long>(cfg.assigns),
+                   cfg.seq_ns_per_assign);
       for (size_t s = 0; s < cfg.shards.size(); ++s) {
         const ShardResult& r = cfg.shards[s];
         std::fprintf(f,

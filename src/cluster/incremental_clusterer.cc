@@ -61,6 +61,7 @@ void IncrementalClusterer::Reset(ClustererOptions options) {
   store_.Reset();
   store_.SetHeadDim(options_.head_dim);
   retired_store_.Reset();
+  retired_targets_ = false;
   retire_heap_.clear();
   last_cluster_of_object_.clear();
   lru_.clear();

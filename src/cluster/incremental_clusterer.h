@@ -112,6 +112,7 @@ class IncrementalClusterer {
   // Drops all clusters and statistics and adopts |options|, keeping the
   // centroid-store arenas and the outer containers' capacity (per-cluster
   // inner allocations — centroids, member runs — are freed with the clusters).
+  // Retired merge targets are disabled again (re-enable them per run).
   // A clusterer reused across a tuner grid sweep (one run per threshold)
   // avoids re-paying the arena growth on every run. Not available on a
   // persistent clusterer (the checkpoint files would silently go stale).
@@ -195,8 +196,8 @@ class IncrementalClusterer {
   //
   // A retired cluster's centroid is frozen, but it is still a legitimate merge
   // target: a duplicate appearance can arise in another shard *after* the
-  // cluster retired, and folding the pair is exactly what the periodic
-  // cross-shard merge is for. When enabled (ShardedClusterer does this at
+  // cluster retired, and folding the pair is exactly what the cross-shard
+  // merge is for. When enabled (ShardedClusterer does this at
   // num_shards > 1), every retirement freezes the centroid into a secondary
   // read-only CentroidStore that merge passes query alongside the active one.
   // Must be called before the first assignment; volatile-cost is one row copy

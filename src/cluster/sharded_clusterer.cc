@@ -20,29 +20,38 @@ namespace focus::cluster {
 
 namespace {
 
-// Version tag of the sharded.meta checkpoint snapshot. v2 added the
-// boundary_merge flag to the options echo: the merge-pass cadence is part of
-// the clustering semantics, so a resumed run must not silently switch modes.
-constexpr uint32_t kShardedMetaVersion = 2;
+// Version tag of the sharded.meta checkpoint snapshot. v3 dropped the
+// merge-mode fields from the options echo (boundary merging is the only
+// semantics); checkpoints of other versions are refused, not reinterpreted.
+constexpr uint32_t kShardedMetaVersion = 3;
 
 }  // namespace
 
-ShardedClusterer::ShardedClusterer(ShardedClustererOptions options)
-    : options_(options) {
-  FOCUS_CHECK(options_.num_shards >= 1);
-  shards_.reserve(options_.num_shards);
-  for (size_t s = 0; s < options_.num_shards; ++s) {
-    shards_.push_back(std::make_unique<IncrementalClusterer>(options_.base));
+ShardedClusterer::ShardedClusterer(ShardedClustererOptions options) { Reset(options); }
+
+void ShardedClusterer::Reset(ShardedClustererOptions options) {
+  FOCUS_CHECK(options.num_shards >= 1);
+  FOCUS_CHECK(!persistent());
+  options_ = options;
+  shards_.resize(options_.num_shards);
+  for (std::unique_ptr<IncrementalClusterer>& shard : shards_) {
+    if (shard == nullptr) {
+      shard = std::make_unique<IncrementalClusterer>(options_.base);
+    } else {
+      shard->Reset(options_.base);
+    }
     if (options_.num_shards > 1) {
       // Cross-shard merges must see retired centroids as targets: a duplicate
       // of a retired cluster can appear in another shard after the retirement
       // (at one shard there is no cross-shard pair, so skip the bookkeeping).
-      shards_.back()->EnableRetiredMergeTargets();
+      shard->EnableRetiredMergeTargets();
     }
   }
+  parent_.clear();
+  merge_scanned_.assign(options_.num_shards, 0);
+  merge_considered_.assign(options_.num_shards, {});
+  merges_folded_ = 0;
   shard_items_.resize(options_.num_shards);
-  merge_scanned_.resize(options_.num_shards, 0);
-  merge_considered_.resize(options_.num_shards);
 }
 
 size_t ShardedClusterer::ShardOf(common::ObjectId object) const {
@@ -59,27 +68,37 @@ size_t ShardedClusterer::ShardOf(common::ObjectId object) const {
 int64_t ShardedClusterer::Add(const video::Detection& detection,
                               const common::FeatureVec& feature) {
   const size_t s = ShardOf(detection.object_id);
-  const int64_t local = shards_[s]->Add(detection, feature);
-  AfterAssignments(1);
-  return GlobalId(s, local);
+  return GlobalId(s, shards_[s]->Add(detection, feature));
 }
 
 int64_t ShardedClusterer::AddSuppressed(const video::Detection& detection,
                                         const common::FeatureVec& feature) {
   const size_t s = ShardOf(detection.object_id);
-  const int64_t local = shards_[s]->AddSuppressed(detection, feature);
-  AfterAssignments(1);
-  return GlobalId(s, local);
+  return GlobalId(s, shards_[s]->AddSuppressed(detection, feature));
 }
 
 void ShardedClusterer::AssignBatch(const WorkItem* items, size_t count,
                                    runtime::WorkerPool* pool, int64_t* out) {
+  auto assign = [this, items, out](size_t s, size_t i) {
+    const WorkItem& item = items[i];
+    FOCUS_CHECK(item.detection != nullptr && item.feature != nullptr);
+    IncrementalClusterer& shard = *shards_[s];
+    const int64_t local = item.suppressed ? shard.AddSuppressed(*item.detection, *item.feature)
+                                          : shard.Add(*item.detection, *item.feature);
+    out[i] = GlobalId(s, local);
+  };
   const size_t num_shards = options_.num_shards;
+  if (num_shards == 1) {
+    // Stream order is shard order: no partition, no hand-off.
+    for (size_t i = 0; i < count; ++i) {
+      assign(0, i);
+    }
+    return;
+  }
   for (std::vector<size_t>& v : shard_items_) {
     v.clear();
   }
   for (size_t i = 0; i < count; ++i) {
-    FOCUS_CHECK(items[i].detection != nullptr && items[i].feature != nullptr);
     shard_items_[ShardOf(items[i].detection->object_id)].push_back(i);
   }
 
@@ -87,18 +106,12 @@ void ShardedClusterer::AssignBatch(const WorkItem* items, size_t count,
   // stream order (the clusterer is stateful), so the shard is the finest safe
   // work item. Out-slots are disjoint per item, so no synchronization beyond
   // the pool's Drain() is needed.
-  auto run_shard = [this, items, out](size_t s) {
-    IncrementalClusterer& shard = *shards_[s];
+  auto run_shard = [this, &assign](size_t s) {
     for (size_t i : shard_items_[s]) {
-      const WorkItem& item = items[i];
-      const int64_t local = item.suppressed
-                                ? shard.AddSuppressed(*item.detection, *item.feature)
-                                : shard.Add(*item.detection, *item.feature);
-      out[i] = GlobalId(s, local);
+      assign(s, i);
     }
   };
-
-  if (pool == nullptr || num_shards == 1) {
+  if (pool == nullptr) {
     for (size_t s = 0; s < num_shards; ++s) {
       run_shard(s);
     }
@@ -107,26 +120,9 @@ void ShardedClusterer::AssignBatch(const WorkItem* items, size_t count,
       if (shard_items_[s].empty()) {
         continue;
       }
-      FOCUS_CHECK(pool->Submit([run_shard, s] { run_shard(s); }));
+      FOCUS_CHECK(pool->Submit([&run_shard, s] { run_shard(s); }));
     }
     pool->Drain();
-  }
-  AfterAssignments(static_cast<int64_t>(count));
-}
-
-void ShardedClusterer::AfterAssignments(int64_t count) {
-  // Boundary-merge mode never merges mid-window: a periodic pass would union
-  // clusters at mid-window positions, producing edges a halted run's
-  // boundary-position full pass cannot reproduce — which is exactly the
-  // byte-identity the windowed finalizer relies on. The assignment counter
-  // also stays untouched so checkpoints are position-independent of batching.
-  if (options_.boundary_merge || options_.merge_interval <= 0) {
-    return;
-  }
-  assignments_since_merge_ += count;
-  if (assignments_since_merge_ >= options_.merge_interval) {
-    RunMergePass(/*full=*/false);
-    assignments_since_merge_ = 0;
   }
 }
 
@@ -168,15 +164,10 @@ void ShardedClusterer::Union(int64_t a, int64_t b) {
   ++merges_folded_;
 }
 
-void ShardedClusterer::MergePass() { RunMergePass(/*full=*/true); }
-
 void ShardedClusterer::QueryAgainstShards(size_t s, int64_t local_id,
                                           const common::FeatureVec& centroid,
-                                          float threshold_sq, bool lower_only) {
-  for (size_t t = 0; t < (lower_only ? s : options_.num_shards); ++t) {
-    if (t == s) {
-      continue;
-    }
+                                          float threshold_sq) {
+  for (size_t t = 0; t < s; ++t) {
     // Nearest target within T across the shard's active centroids AND its
     // frozen retired ones: a cluster that retired before this query's
     // cluster even existed is still the same real-world appearance and
@@ -207,85 +198,47 @@ void ShardedClusterer::QueryAgainstShards(size_t s, int64_t local_id,
   }
 }
 
-void ShardedClusterer::RunMergePass(bool full) {
+void ShardedClusterer::MergePass() {
   if (options_.num_shards <= 1) {
     return;
   }
   const float threshold_sq =
       static_cast<float>(options_.base.threshold * options_.base.threshold);
-  // Re-queue radius: an already-considered cluster whose centroid moved more
-  // than this (squared) distance since its last consideration is queried
-  // again — its neighbourhood changed enough that a fold it previously missed
-  // may now be in range.
-  const double requeue_radius = options_.merge_requeue_fraction * options_.base.threshold;
-  const double requeue_dist_sq = requeue_radius * requeue_radius;
-  // Fixed scan order (shard ascending, local id ascending, other shards
+  // Fixed scan order (shard ascending, local id ascending, lower shards
   // ascending as targets) plus CentroidStore's smallest-id tie break keep the
   // union-find a pure function of the stream. Targets cover the active working
   // set and the frozen retired centroids (retired_store): a retired cluster
   // can no longer drift, but its appearance can re-arise in another shard
   // after the retirement, and the pair must still fold — each such pair is
   // captured from the later cluster's side when it queries as a new cluster.
-  // Incremental passes (full == false) use clusters
-  // created since the previous pass as queries, plus active clusters that
-  // drifted past the re-queue radius since they were last considered. The
-  // drift sweep itself costs one L2 distance per already-considered active
-  // cluster per pass — about one assignment-scan equivalent per
-  // merge_interval assignments — so the *merge query* cost stays proportional
-  // to churn and drift, not to the active working set; the full pass
-  // restricts targets to earlier shards (every unordered cross-shard pair is
-  // still covered, from its higher-shard side). Tracking cumulative
-  // displacement at Join time instead of snapshot vectors would drop both the
-  // sweep and the snapshot copies from the checkpoint meta (ROADMAP).
   for (size_t s = 0; s < options_.num_shards; ++s) {
     const std::vector<Cluster>& clusters = shards_[s]->clusters();
     std::vector<MergeCandidate>& considered = merge_considered_[s];
-
-    auto run_queries = [&](size_t l, const Cluster& c) {
-      QueryAgainstShards(s, static_cast<int64_t>(l), c.centroid, threshold_sq,
-                         /*lower_only=*/full);
-    };
-
-    // Previously considered clusters, ascending local id: drop retired ones
-    // (their centroids never merge again), re-query drifted or full-pass
-    // ones. The union-find's final components are independent of query order
-    // within a pass (stores do not change mid-pass), so splitting old and new
-    // candidates into two ascending sweeps preserves determinism.
+    // Previously considered clusters, ascending local id: every one queries
+    // at its current position; one that retired since issues that query with
+    // its frozen centroid and is then dropped (it stays reachable as a merge
+    // *target* through retired_store() forever).
     size_t keep = 0;
     for (size_t i = 0; i < considered.size(); ++i) {
       MergeCandidate& candidate = considered[i];
       const Cluster& c = clusters[candidate.local_id];
+      QueryAgainstShards(s, static_cast<int64_t>(candidate.local_id), c.centroid, threshold_sq);
       if (!c.active) {
-        // Retired since last considered: one final query with the frozen
-        // centroid (it may have drifted into range of another shard's cluster
-        // between its last consideration and its retirement), then drop — the
-        // frozen centroid stays reachable as a merge *target* through
-        // retired_store() forever.
-        run_queries(candidate.local_id, c);
         continue;
       }
-      bool query = full;
-      if (!query && requeue_dist_sq > 0.0) {
-        query = common::SquaredL2Distance(c.centroid, candidate.snapshot) > requeue_dist_sq;
-      }
-      if (query) {
-        run_queries(candidate.local_id, c);
-        candidate.snapshot = c.centroid;  // Drift measures from here now.
-      }
+      candidate.snapshot = c.centroid;  // The boundary pass measures moves from here.
       if (keep != i) {  // Guard the self-move: it would empty the snapshot.
         considered[keep] = std::move(candidate);
       }
       ++keep;
     }
     considered.resize(keep);
-    // Clusters created since the previous pass. A cluster that already retired
-    // (created and evicted within one interval) still queries once with its
-    // frozen centroid — its duplicate may be live in another shard — but is
-    // not tracked for drift: frozen centroids never move, and other shards'
-    // later clusters find it through the retired target store.
+    // Clusters created since the previous pass. One that already retired
+    // still queries once with its frozen centroid — its duplicate may be live
+    // in another shard — but is not tracked: frozen centroids never move.
     for (size_t l = merge_scanned_[s]; l < clusters.size(); ++l) {
       const Cluster& c = clusters[l];
-      run_queries(l, c);
+      QueryAgainstShards(s, static_cast<int64_t>(l), c.centroid, threshold_sq);
       if (c.active) {
         considered.push_back({l, c.centroid});
       }
@@ -332,7 +285,7 @@ void ShardedClusterer::BoundaryMergePass() {
         // between its last query and retirement, its displacement invalidates
         // neighbours exactly like an active mover's.
         QueryAgainstShards(s, static_cast<int64_t>(candidate.local_id), c.centroid,
-                           threshold_sq, /*lower_only=*/true);
+                           threshold_sq);
         queried[s].insert(candidate.local_id);
         if (c.centroid != candidate.snapshot) {
           movers.push_back(Mover{s, candidate.snapshot, c.centroid});
@@ -343,10 +296,9 @@ void ShardedClusterer::BoundaryMergePass() {
         // Any movement requeries — no drift tolerance: the full pass would
         // query this cluster at its new position, and even an epsilon move can
         // change the nearest-within-T answer, so byte-identity needs exact
-        // dirty tracking here (the periodic passes' requeue_fraction knob is a
-        // recall/cost tradeoff and does not apply in this mode).
+        // dirty tracking here.
         QueryAgainstShards(s, static_cast<int64_t>(candidate.local_id), c.centroid,
-                           threshold_sq, /*lower_only=*/true);
+                           threshold_sq);
         queried[s].insert(candidate.local_id);
         movers.push_back(Mover{s, candidate.snapshot, c.centroid});
         candidate.snapshot = c.centroid;
@@ -362,8 +314,7 @@ void ShardedClusterer::BoundaryMergePass() {
     // unmoved clusters in higher shards.
     for (size_t l = merge_scanned_[s]; l < clusters.size(); ++l) {
       const Cluster& c = clusters[l];
-      QueryAgainstShards(s, static_cast<int64_t>(l), c.centroid, threshold_sq,
-                         /*lower_only=*/true);
+      QueryAgainstShards(s, static_cast<int64_t>(l), c.centroid, threshold_sq);
       queried[s].insert(l);
       movers.push_back(Mover{s, common::FeatureVec{}, c.centroid});
       if (c.active) {
@@ -392,7 +343,7 @@ void ShardedClusterer::BoundaryMergePass() {
           return;
         }
         const Cluster& c = shards_[t]->clusters()[static_cast<size_t>(local_id)];
-        QueryAgainstShards(t, local_id, c.centroid, threshold_sq, /*lower_only=*/true);
+        QueryAgainstShards(t, local_id, c.centroid, threshold_sq);
         // The requery re-measured this cluster's neighbourhood at its current
         // position; drift tracking restarts from here (ascending-id order of
         // merge_considered_ makes the entry binary-searchable).
@@ -502,9 +453,6 @@ common::Result<bool> ShardedClusterer::Checkpoint(int64_t position,
   storage::Encoder enc;
   enc.PutU32(kShardedMetaVersion);
   enc.PutVarint(options_.num_shards);
-  enc.PutSignedVarint(options_.merge_interval);
-  enc.PutDouble(options_.merge_requeue_fraction);
-  enc.PutU32(options_.boundary_merge ? 1 : 0);
   for (size_t s = 0; s < options_.num_shards; ++s) {
     enc.PutU64(generations[s]);
     enc.PutString(bookkeeping[s]);
@@ -523,7 +471,6 @@ common::Result<bool> ShardedClusterer::Checkpoint(int64_t position,
       EncodeFeatureVec(enc, candidate.snapshot);
     }
   }
-  enc.PutSignedVarint(assignments_since_merge_);
   enc.PutSignedVarint(merges_folded_);
   enc.PutSignedVarint(position);
   enc.PutString(user_state);
@@ -596,20 +543,33 @@ common::Result<ClustererRecovery> ShardedClusterer::OpenOrRecover(const std::str
   auto corrupt = [&] {
     return common::Error{common::ErrorCode::kIo, "sharded meta corrupt: " + meta_path_};
   };
-  storage::Decoder dec(*blob);
-  uint32_t version = 0;
-  uint64_t num_shards = 0;
-  int64_t merge_interval = 0;
-  double requeue_fraction = 0.0;
-  uint32_t boundary_merge = 0;
-  if (!dec.GetU32(&version) || version != kShardedMetaVersion ||
-      !dec.GetVarint(&num_shards) || !dec.GetSignedVarint(&merge_interval) ||
-      !dec.GetDouble(&requeue_fraction) || !dec.GetU32(&boundary_merge)) {
+  // The trailing CRC covers every byte before it; check it first so a torn or
+  // scribbled file reads as corrupt, never as a version or options mismatch.
+  constexpr size_t kCrcBytes = 4;
+  if (blob->size() < kCrcBytes) {
     return corrupt();
   }
-  if (num_shards != options_.num_shards || merge_interval != options_.merge_interval ||
-      requeue_fraction != options_.merge_requeue_fraction ||
-      (boundary_merge != 0) != options_.boundary_merge) {
+  const std::string_view payload(blob->data(), blob->size() - kCrcBytes);
+  storage::Decoder crc_dec(std::string_view(blob->data() + payload.size(), kCrcBytes));
+  uint32_t crc = 0;
+  if (!crc_dec.GetU32(&crc) || storage::Crc32(payload) != crc) {
+    return corrupt();
+  }
+  storage::Decoder dec(payload);
+  uint32_t version = 0;
+  uint64_t num_shards = 0;
+  if (!dec.GetU32(&version)) {
+    return corrupt();
+  }
+  if (version != kShardedMetaVersion) {
+    return common::FailedPrecondition(
+        "sharded meta version " + std::to_string(version) + " is not the supported version " +
+        std::to_string(kShardedMetaVersion) + ": " + meta_path_);
+  }
+  if (!dec.GetVarint(&num_shards)) {
+    return corrupt();
+  }
+  if (num_shards != options_.num_shards) {
     return common::FailedPrecondition(
         "sharded clusterer options do not match the checkpointed run");
   }
@@ -653,16 +613,11 @@ common::Result<ClustererRecovery> ShardedClusterer::OpenOrRecover(const std::str
       candidate.local_id = static_cast<size_t>(local);
     }
   }
-  int64_t assignments_since_merge = 0;
   int64_t merges_folded = 0;
   int64_t position = 0;
   std::string user_state;
-  size_t payload_end = 0;
-  uint32_t crc = 0;
-  if (!dec.GetSignedVarint(&assignments_since_merge) || !dec.GetSignedVarint(&merges_folded) ||
-      !dec.GetSignedVarint(&position) || !dec.GetString(&user_state) ||
-      (payload_end = dec.offset(), !dec.GetU32(&crc)) ||
-      storage::Crc32(std::string_view(blob->data(), payload_end)) != crc) {
+  if (!dec.GetSignedVarint(&merges_folded) || !dec.GetSignedVarint(&position) ||
+      !dec.GetString(&user_state) || !dec.Done()) {
     return corrupt();
   }
 
@@ -687,7 +642,6 @@ common::Result<ClustererRecovery> ShardedClusterer::OpenOrRecover(const std::str
   parent_ = std::move(parent);
   merge_scanned_ = std::move(merge_scanned);
   merge_considered_ = std::move(merge_considered);
-  assignments_since_merge_ = assignments_since_merge;
   merges_folded_ = merges_folded;
 
   // Re-seal when any shard rolled back (headers, meta, and undo windows must

@@ -19,11 +19,18 @@
 //
 // Shards cluster independently, which means two shards can each grow a cluster
 // for the same real-world appearance (two similar cars whose object ids hash
-// apart). A periodic cross-shard merge pass finds shard-local clusters whose
-// centroids fall within the clustering threshold T of a cluster in another
-// shard and folds them — via a union-find over global cluster ids — into one
-// canonical cluster; FinalizeClusters() emits the canonical table the query
-// side indexes, with member runs concatenated and sizes conserved.
+// apart). A cross-shard merge pass finds shard-local clusters whose centroids
+// fall within the clustering threshold T of a cluster in another shard and
+// folds them — via a union-find over global cluster ids — into one canonical
+// cluster; FinalizeClusters() emits the canonical table, with member runs
+// concatenated and sizes conserved (the ingest engine derives the same table
+// from the raw shard tables and CanonicalOf, src/core/ingest_pipeline.cc).
+//
+// Merging is boundary-only: passes run when the owner asks for them —
+// BoundaryMergePass() at every snapshot cadence boundary and at end of stream
+// (the ingest engine), and the full pass inside FinalizeClusters() — never
+// as a side effect of assignment. So assignments, and the union-find,
+// are independent of how detections are batched into AssignBatch calls.
 //
 // Cluster ids: a shard-local id l in shard s is published as the global id
 //   g = l * num_shards + s
@@ -42,8 +49,8 @@
 //     function of the input stream;
 //   - at num_shards == 1 the global ids, the per-detection assignments, and the
 //     finalized cluster table are identical to a plain IncrementalClusterer
-//     with the same options (the merge pass has no cross-shard pairs and is a
-//     no-op).
+//     with the same options (the merge passes have no cross-shard pairs and
+//     are no-ops).
 //
 // Thread-safety: externally synchronized. AssignBatch() internally fans out one
 // ordered task per shard onto a caller-supplied WorkerPool and drains it before
@@ -70,35 +77,18 @@ struct ShardedClustererOptions {
   // (the total active working set is up to num_shards * max_active).
   ClustererOptions base;
   size_t num_shards = 1;
-  // Assignments between periodic cross-shard merge passes; 0 merges only in
-  // FinalizeClusters(). Merging earlier does not change the final table (the
-  // union-find only accumulates), it bounds how stale CanonicalOf() can be.
-  int64_t merge_interval = 8192;
-  // Incremental merge passes re-queue an already-considered active cluster
-  // when its centroid has drifted more than this fraction of the clustering
-  // threshold T since it was last used as a merge query, so two long-lived
-  // clusters converging toward each other fold at the next periodic pass
-  // instead of only at the final full pass. 0 disables re-queueing (the
-  // pre-PR4 policy: periodic passes only query clusters created since the
-  // previous pass).
-  double merge_requeue_fraction = 0.5;
-  // Boundary-merge mode: the automatic periodic passes are disabled entirely
-  // and cross-shard merging happens only when the owner calls
-  // BoundaryMergePass() (the windowed finalizer does this at every snapshot
-  // cadence boundary) or MergePass()/FinalizeClusters(). The boundary pass is
-  // incremental — it re-queries only clusters that are new, retired, or moved
-  // since the previous boundary, plus the neighbourhoods those movers
-  // invalidated — but it restores the *full-pass* union-find closure at every
-  // boundary (see BoundaryMergePass), which is what makes a live epoch
-  // byte-identical to halting the stream at that boundary. Checkpoints echo
-  // this flag: merging at mid-window positions vs. only at boundaries yields
-  // different (both valid) clusterings, so a resumed run must keep the mode.
-  bool boundary_merge = false;
 };
 
 class ShardedClusterer {
  public:
-  explicit ShardedClusterer(ShardedClustererOptions options);
+  explicit ShardedClusterer(ShardedClustererOptions options = {});
+
+  // Drops all clusters, merges and statistics and adopts |options|, reusing
+  // each kept shard through IncrementalClusterer::Reset (centroid arenas and
+  // container capacity stay warm). A tuner sweeping a parameter grid over one
+  // sample re-runs clustering per configuration without re-growing the shards
+  // from empty. Not available on a persistent clusterer.
+  void Reset(ShardedClustererOptions options);
 
   // One detection ready for assignment (pointers must stay valid through the
   // AssignBatch call that consumes the item).
@@ -127,24 +117,8 @@ class ShardedClusterer {
   void AssignBatch(const WorkItem* items, size_t count, runtime::WorkerPool* pool,
                    int64_t* out);
 
-  // Runs one *full* cross-shard merge pass now: every active cluster (plus
-  // clusters new since the last pass, even if already retired) is queried
-  // against every other shard's active AND frozen retired centroids; a
-  // retired cluster that already issued its one final query in an earlier
-  // pass is not re-queried — its frozen centroid cannot move, and it stays
-  // reachable as a *target* forever, so each duplicate pair is still covered
-  // from its later-created side. FinalizeClusters() always runs one full pass
-  // as its correctness backstop. The automatic periodic passes (every
-  // merge_interval assignments) are *incremental* — they query clusters
-  // created since the previous pass, plus already-considered active clusters
-  // whose centroid drifted more than merge_requeue_fraction * T since they
-  // were last considered (two long-lived clusters converging mid-stream fold
-  // at the next periodic pass, not only at the final full pass) — so steady
-  // state pays per cluster churn, not per active cluster.
-  void MergePass();
-
   // Runs one *incremental boundary* merge pass: only clusters dirtied since
-  // the previous boundary — created, retired, or with a centroid that moved at
+  // the previous pass — created, retired, or with a centroid that moved at
   // all (exact comparison; no drift tolerance) — re-issue merge queries, each
   // with the full pass's lower-shard target bound. Because an unmoved
   // cluster's nearest-within-T answer can still change when a *neighbour*
@@ -153,8 +127,9 @@ class ShardedClusterer {
   // T) and the hit clusters re-query too. The result: after this pass a full
   // pass at the same position adds no union edge, i.e. the pass reproduces
   // the full-pass closure at O(dirty + movers * neighbourhood) query cost
-  // instead of O(active). Used by the windowed finalizer in boundary_merge
-  // mode; a no-op at num_shards == 1.
+  // instead of O(active) — which is what makes a live epoch byte-identical to
+  // halting the stream at that boundary and finalizing. A no-op at
+  // num_shards == 1.
   void BoundaryMergePass();
 
   // --- Persistence (see docs/persistence.md) ---
@@ -168,7 +143,10 @@ class ShardedClusterer {
 
   // Attaches persistent backing under |dir| (created if needed), recovering
   // the newest committed checkpoint when one exists. Must be called before any
-  // assignment, with options matching the checkpointed run's.
+  // assignment, with options matching the checkpointed run's. A meta file
+  // that fails its CRC is kIo (retryable); a well-formed meta written by a
+  // different meta version or shard count is FailedPrecondition (restarting
+  // cannot fix it).
   common::Result<ClustererRecovery> OpenOrRecover(const std::string& dir);
 
   // Durably publishes the current state of every shard plus the merge state,
@@ -203,38 +181,43 @@ class ShardedClusterer {
   const IncrementalClusterer& shard(size_t s) const { return *shards_[s]; }
 
  private:
+  // One *full* cross-shard merge pass: every active cluster (plus
+  // clusters new since the last pass, even if already retired) is queried
+  // against every lower shard's active AND frozen retired centroids; a
+  // retired cluster that already issued its one final query in an earlier
+  // pass is not re-queried — its frozen centroid cannot move, and it stays
+  // reachable as a *target* forever, so each duplicate pair is still covered
+  // from its later-created side. FinalizeClusters() runs one as its
+  // correctness backstop.
+  void MergePass();
   // Union-find over global ids, lazily grown; roots are component minima.
   int64_t Find(int64_t global_id) const;
   void Union(int64_t a, int64_t b);
-  void AfterAssignments(int64_t count);
-  // |full| re-queries every active cluster; otherwise only clusters created
-  // since the last pass are used as queries (against all other shards).
-  void RunMergePass(bool full);
-  // One cluster's merge queries: nearest-within-T against every other shard's
-  // active and retired stores (lower shards only when |lower_only|), unioning
-  // on a hit. Shared by the full, periodic, and boundary passes so all three
-  // produce identical edges for the same (cluster, position).
+  // One cluster's merge queries: nearest-within-T against every lower shard's
+  // active and retired stores, unioning on a hit. Shared by the full and
+  // boundary passes so both produce identical edges for the same (cluster,
+  // position); every unordered cross-shard pair is covered from its
+  // higher-shard side.
   void QueryAgainstShards(size_t s, int64_t local_id, const common::FeatureVec& centroid,
-                          float threshold_sq, bool lower_only);
+                          float threshold_sq);
 
   ShardedClustererOptions options_;
   std::vector<std::unique_ptr<IncrementalClusterer>> shards_;
   // parent_[g] == g for roots; ids beyond the vector are implicit singletons.
   mutable std::vector<int64_t> parent_;
-  // Per shard: local cluster count already used as merge queries, so periodic
-  // passes only query what appeared since the previous pass.
+  // Per shard: local cluster count already used as merge queries, so the
+  // boundary pass only queries what appeared since the previous pass.
   std::vector<size_t> merge_scanned_;
   // Per shard: the already-considered *active* clusters (ascending local id)
-  // with each one's centroid as of its last use as a merge query, so
-  // incremental passes can re-queue clusters that drifted since
-  // (merge_requeue_fraction). Entries are dropped as clusters retire, keeping
-  // every pass O(active working set) — never O(clusters ever created).
+  // with each one's centroid as of its last use as a merge query, so the
+  // boundary pass can re-query exactly the clusters that moved since.
+  // Entries are dropped as clusters retire, keeping every pass O(active
+  // working set) — never O(clusters ever created).
   struct MergeCandidate {
     size_t local_id = 0;
     common::FeatureVec snapshot;  // Centroid when last considered.
   };
   std::vector<std::vector<MergeCandidate>> merge_considered_;
-  int64_t assignments_since_merge_ = 0;
   int64_t merges_folded_ = 0;
   // Per-shard item index lists, reused across AssignBatch calls.
   std::vector<std::vector<size_t>> shard_items_;

@@ -5,6 +5,21 @@
 // differencing lets it reuse the previous frame's result, (2) clusters the object by
 // feature vector, (3) aggregates per-cluster class confidences, and (4) emits the
 // top-K index mapping classes to clusters. GPU time is accounted per inference.
+//
+// One ingest engine does steps 2-4 for every entry point. It always drives a
+// cluster::ShardedClusterer (num_shards >= 1; one shard assigns inline on the
+// calling thread) and has one assign+rank step, one boundary step (the
+// cross-shard boundary merge plus, with a consumer attached, the snapshot
+// cut), one checkpoint step and one finish step. Two thin front ends feed it:
+//   - RunIngest / RunIngestChecked: a live StreamRun through the pixel-diff
+//     detection stage (step 1), which ClassifySample shares;
+//   - RunIngestClassified: a stored ClassifiedSample (the tuner's
+//     classify-once, re-cluster-many sweep).
+// Persistence (options.persist_dir) and snapshot publication
+// (options.finalize_every_frames with a slot or sink) are optional policies
+// of the same engine, not separate loops. Boundary merging is the only
+// cross-shard semantics, so results never depend on how detections are
+// batched: RunIngestClassified over ClassifySample's output equals RunIngest.
 #ifndef FOCUS_SRC_CORE_INGEST_PIPELINE_H_
 #define FOCUS_SRC_CORE_INGEST_PIPELINE_H_
 
@@ -14,6 +29,7 @@
 #include <string>
 
 #include "src/cluster/incremental_clusterer.h"
+#include "src/cluster/sharded_clusterer.h"
 #include "src/cnn/cnn.h"
 #include "src/common/result.h"
 #include "src/common/retry.h"
@@ -63,32 +79,25 @@ struct IngestOptions {
   common::FrameIndex reuse_evict_gap_frames = 8;
 
   // --- Sharded intra-stream clustering (src/cluster/sharded_clusterer.h) ---
-  // Clustering shards for this stream: 1 runs the plain sequential
-  // IncrementalClusterer path; >1 partitions detections by object id onto
-  // per-shard clusterer+store instances driven by a worker pool, with
-  // periodic cross-shard centroid merges folding duplicate clusters into a
-  // canonical table. (The sharded machinery itself also reproduces the
-  // sequential path's output exactly when run with one shard; see
-  // RunIngestClassifiedSharded.)
+  // Clustering shards for this stream. 1 assigns inline on the ingest thread
+  // (no worker pool), exactly like a lone IncrementalClusterer; >1
+  // partitions detections by object id onto per-shard clusterer+store
+  // instances driven by a worker pool, and cross-shard boundary merges fold
+  // duplicate clusters into a canonical table.
   int num_shards = 1;
-  // Detections dispatched per parallel batch on the sharded path.
-  size_t shard_batch = 1024;
-  // Assignments between periodic cross-shard centroid merges (0: merge only
-  // when the stream finishes).
-  int64_t shard_merge_interval = 8192;
 
   // --- Windowed streaming finalize (src/core/live_snapshot.h,
   //     docs/live_query.md) ---
-  // > 0: every N sampled frames, run the cross-shard merge to convergence over
-  // the window and publish an immutable, epoch-numbered canonical snapshot —
-  // the cluster table (as top-K index entries), the index, and the frame
+  // > 0: every N sampled frames, run the incremental cross-shard boundary
+  // merge (cluster::ShardedClusterer::BoundaryMergePass) and, with a consumer
+  // attached, publish an immutable, epoch-numbered canonical snapshot — the
+  // cluster table (as top-K index entries), the index, and the frame
   // watermark — through snapshot_slot / snapshot_sink. Querying snapshot
   // epoch e is byte-identical to halting ingest at e's watermark (with these
-  // same options) and finalizing the old one-shot way. On the sharded path
-  // the cadence is part of the clustering semantics — the boundary merge
-  // passes run whether or not a consumer is attached, so attaching one never
-  // changes results. 0 (default) keeps the pre-windowed behaviour: a canonical
-  // table only at end-of-stream.
+  // same options) and finalizing the old one-shot way. Above one shard the
+  // cadence is part of the clustering semantics — the boundary merges run
+  // whether or not a consumer is attached, so attaching one never changes
+  // results. 0 (default): cross-shard merging only at end-of-stream.
   int64_t finalize_every_frames = 0;
   // RCU publication target for the snapshots (not owned; may be null).
   // runtime::IngestService wires one per live stream and serves it through
@@ -100,8 +109,8 @@ struct IngestOptions {
   std::function<void(std::shared_ptr<const LiveSnapshot>)> snapshot_sink;
   // Background publication: index assembly and the slot swap move to one
   // dedicated builder thread (core::SnapshotBuilder) fed a self-contained cut
-  // at each cadence boundary, so the ingest thread pays only the boundary
-  // merge + dirty census (stats.cut_millis) instead of the whole publication.
+  // at each cadence boundary, so the ingest thread pays only the dirty census
+  // and dirty-entry builds (stats.cut_millis) instead of the whole publication.
   // The published snapshot sequence is byte-identical to synchronous mode —
   // the builder runs the same assembly code over the same cut bytes, in the
   // same order — and the epoch ≡ halt+finalize property is preserved; only
@@ -109,34 +118,29 @@ struct IngestOptions {
   // queue depth, and re-synchronized before every same-frame checkpoint).
   // Ignored when no consumer (slot or sink) is attached.
   bool background_publish = false;
-  // Sharded path: replace the full O(active) cross-shard merge at every
-  // cadence boundary with the incremental boundary pass
-  // (cluster::ShardedClusterer::BoundaryMergePass — only clusters dirtied
-  // since the previous boundary re-query, plus the neighbourhoods their moves
-  // invalidated), and disable the mid-window periodic passes entirely (they
-  // would break the epoch ≡ halt+finalize identity; shard_merge_interval is
-  // ignored). The boundary pass restores the full-pass union-find closure at
-  // every boundary, so snapshots remain byte-identical to halting and
-  // finalizing — but mid-window merge *timing* differs from the default mode,
-  // so the two modes are distinct clustering semantics and checkpoints refuse
-  // to resume across them. No effect at num_shards == 1.
-  bool incremental_boundary_merge = false;
 
   // --- Persistent ingest (src/storage/arena_file.h, docs/persistence.md) ---
   // Directory for this stream's durable clustering state. Empty (the default)
-  // keeps ingest volatile; non-empty routes RunIngest through
-  // RunIngestResumable: the centroid arenas live in mmap'd files, the
-  // clusterer checkpoints every checkpoint_every_frames sampled frames, and a
-  // restarted worker resumes from the last checkpoint instead of frame 0.
+  // keeps ingest volatile; non-empty makes RunIngest / RunIngestChecked
+  // crash-resumable: the centroid arenas live in mmap'd files, the engine
+  // checkpoints every checkpoint_every_frames sampled frames and seals the
+  // end of the stream, and a restarted worker resumes from the last
+  // checkpoint instead of frame 0. State beyond the arenas — counters, the
+  // pixel-differencing reuse maps, and the per-cluster class-rank table —
+  // checkpoints as an opaque blob alongside the clusterer's own snapshot, so
+  // the resumed run's final index, counters, and GPU accounting are
+  // byte-identical to an uninterrupted run's (the re-processed window
+  // re-classifies deterministically — cnn::Cnn is a pure function of the
+  // detection). Ignored by RunIngestClassified.
   std::string persist_dir;
   // Sampled frames between checkpoints on the persistent path. Smaller bounds
   // the re-processed window after a crash; larger amortizes the msync +
   // bookkeeping-snapshot cost over more stream.
   int64_t checkpoint_every_frames = 256;
-  // Test/bench hook: abandon the persistent run after this many sampled
-  // frames past the resume position (negative: disabled) — no finalize, no
-  // final checkpoint, exactly like an ingest worker crash. The returned
-  // result carries the partial counters only.
+  // Test/bench hook on the persistent path: abandon the run after this many
+  // sampled frames past the resume position (negative: disabled) — no
+  // finalize, no final checkpoint, exactly like an ingest worker crash. The
+  // returned result carries the partial counters only.
   int64_t crash_after_frames = -1;
   // Retry policy for checkpoint commits (including the end-of-stream seal) on
   // the persistent path: a transiently failing msync/rename is retried with
@@ -149,10 +153,10 @@ struct IngestOptions {
   storage::FsyncOptions undo_fsync = storage::FsyncOptions::Never();
 };
 
-// Runs ingest over |run| with |ingest_cnn| and parameters |params|. With
-// options.persist_dir set this is RunIngestResumable. Crashes (FOCUS_CHECK) on
-// any storage or stream-delivery failure; fault-tolerant callers (the
-// supervised IngestService workers) use RunIngestChecked instead.
+// Runs ingest over |run| with |ingest_cnn| and parameters |params| (the live
+// front end of the engine). Crashes (FOCUS_CHECK) on any storage or
+// stream-delivery failure; fault-tolerant callers (the supervised
+// IngestService workers) use RunIngestChecked instead.
 IngestResult RunIngest(const video::StreamRun& run, const cnn::Cnn& ingest_cnn,
                        const IngestParams& params, const IngestOptions& options = {});
 
@@ -166,29 +170,6 @@ common::Result<IngestResult> RunIngestChecked(const video::StreamRun& run,
                                               const cnn::Cnn& ingest_cnn,
                                               const IngestParams& params,
                                               const IngestOptions& options = {});
-
-// Fallible crash-resumable ingest (options.persist_dir must be set).
-common::Result<IngestResult> RunIngestResumableChecked(const video::StreamRun& run,
-                                                       const cnn::Cnn& ingest_cnn,
-                                                       const IngestParams& params,
-                                                       const IngestOptions& options);
-
-// Crash-resumable ingest (options.persist_dir must be set). State beyond the
-// mmap'd centroid arenas — counters, the pixel-differencing reuse maps, and
-// the per-cluster class-rank table — checkpoints as an opaque blob alongside
-// the clusterer's own snapshot, so a restarted worker continues from the last
-// checkpoint with state identical to an uninterrupted run's at that frame:
-// the final index, counters, and GPU accounting are byte-identical to running
-// the whole stream without the crash (the re-processed window re-classifies
-// deterministically — cnn::Cnn is a pure function of the detection). Runs the
-// clustering stage through ShardedClusterer at any num_shards >= 1; with
-// num_shards > 1 each frame's assignments dispatch through a WorkerPool (one
-// ordered task per shard), so the persistent path scales within a stream like
-// the volatile sharded path while producing the identical final index (the
-// object-id partition fixes every shard's input subsequence regardless of
-// thread interleaving).
-IngestResult RunIngestResumable(const video::StreamRun& run, const cnn::Cnn& ingest_cnn,
-                                const IngestParams& params, const IngestOptions& options);
 
 // --- Classify-once / re-cluster-many ---
 //
@@ -221,41 +202,30 @@ struct ClassifiedSample {
   bool delivery_aborted = false;
 };
 
-// Runs the classification stage only (IT1 + pixel differencing) over |run|.
+// Runs the classification stage only (IT1 + pixel differencing) over |run|,
+// through the same detection stage as RunIngest.
 ClassifiedSample ClassifySample(const video::StreamRun& run, const cnn::Cnn& ingest_cnn,
                                 int k, const IngestOptions& options = {});
 
-// Runs clustering + indexing (IT2-IT4) over stored outputs. |params.k| must not
-// exceed |sample.k|. Produces the same IngestResult as RunIngest with the same
-// parameters (GPU cost comes from the stored classification pass).
+// Runs clustering + indexing (IT2-IT4) over stored outputs (the stored-sample
+// front end of the engine). |params.k| must not exceed |sample.k|. Produces the
+// same IngestResult as RunIngest with the same parameters (GPU cost comes
+// from the stored classification pass).
 //
 // |scratch| optionally supplies a clusterer to (re)use: it is Reset() with this
 // run's options, so a tuner sweeping a parameter grid over the same sample
-// reuses the centroid arena and per-cluster allocations across re-runs instead
-// of re-growing them from empty on every configuration. With
-// |options.num_shards| > 1 the clustering stage runs sharded on a worker pool
-// (|scratch| does not apply there; |pool| does — see below).
+// reuses the shards' centroid arenas and per-cluster allocations across
+// re-runs instead of re-growing them from empty on every configuration.
 //
-// |pool| optionally supplies the worker pool the sharded route dispatches on,
-// so a caller re-running many configurations (the tuner's grid sweep) pays
-// thread spawn/join once instead of per run. Null builds a pool per call; the
-// pool must have >= 1 worker and be dedicated to this call for its duration
-// (the sharded clusterer Drain()s it to synchronize). Ignored at num_shards = 1.
+// |pool| optionally supplies the worker pool the shards dispatch on above one
+// shard, so a caller re-running many configurations pays thread spawn/join
+// once instead of per run. Null builds a pool per call; the pool must have
+// >= 1 worker and be dedicated to this call for its duration (the sharded
+// clusterer Drain()s it to synchronize). Ignored at num_shards = 1.
 IngestResult RunIngestClassified(const ClassifiedSample& sample, const IngestParams& params,
                                  const IngestOptions& options = {},
-                                 cluster::IncrementalClusterer* scratch = nullptr,
+                                 cluster::ShardedClusterer* scratch = nullptr,
                                  runtime::WorkerPool* pool = nullptr);
-
-// The sharded clustering + indexing stage behind RunIngestClassified's
-// |options.num_shards| > 1 route, callable directly at any shard count >= 1 —
-// tests and benches use it at one shard to check the sharded machinery
-// (AssignBatch dispatch, canonical-id mapping, merge passes) reproduces the
-// sequential path's output exactly. |pool| as in RunIngestClassified: a
-// caller-supplied reusable worker pool, or null for a per-call one.
-IngestResult RunIngestClassifiedSharded(const ClassifiedSample& sample,
-                                        const IngestParams& params,
-                                        const IngestOptions& options = {},
-                                        runtime::WorkerPool* pool = nullptr);
 
 }  // namespace focus::core
 

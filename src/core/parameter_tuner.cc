@@ -209,11 +209,11 @@ std::vector<EvaluatedConfig> ParameterTuner::EvaluateGrid(const video::StreamRun
       CandidateModels(distribution, stream_variability, run.seed());
 
   // One clusterer reused across the whole (model, T) grid: every re-run Resets
-  // it, keeping the centroid arena and cluster allocations warm. Likewise one
-  // worker pool for the sharded clustering route — the grid re-runs
+  // it, keeping the shards' centroid arenas and cluster allocations warm.
+  // Likewise one worker pool above one shard — the grid re-runs
   // RunIngestClassified per configuration, and spawning/joining num_shards
   // threads on each would dominate small samples.
-  cluster::IncrementalClusterer cluster_scratch;
+  cluster::ShardedClusterer cluster_scratch;
   std::unique_ptr<runtime::WorkerPool> shard_pool;
   if (options_.ingest.num_shards > 1) {
     shard_pool = std::make_unique<runtime::WorkerPool>(

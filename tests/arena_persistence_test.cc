@@ -491,7 +491,6 @@ TEST_F(ArenaPersistenceTest, ShardedRecoveryByteIdenticalAtFourShards) {
   ShardedClustererOptions sopts;
   sopts.base = SmallOptions(ClustererOptions::Mode::kFast);
   sopts.num_shards = 4;
-  sopts.merge_interval = 512;
 
   ShardedClusterer reference(sopts);
   std::vector<int64_t> ref_assignments(stream.detections.size());
@@ -602,7 +601,7 @@ TEST_F(PipelinePersistenceTest, ResumedIngestMatchesUninterruptedAndVolatile) {
     persist_opts.checkpoint_every_frames = 300;
     persist_opts.persist_dir = Dir("uninterrupted-" + std::to_string(num_shards));
     const core::IngestResult uninterrupted =
-        core::RunIngestResumable(*run_, cheap, Params(), persist_opts);
+        core::RunIngest(*run_, cheap, Params(), persist_opts);
     EXPECT_EQ(uninterrupted.resumed_from_frame, 0);
     // The persistent path must not change results vs volatile ingest.
     ExpectSameResult(uninterrupted, plain);
@@ -612,19 +611,19 @@ TEST_F(PipelinePersistenceTest, ResumedIngestMatchesUninterruptedAndVolatile) {
     crash_opts.persist_dir = Dir("crashed-" + std::to_string(num_shards));
     crash_opts.crash_after_frames = run_->num_frames() / 2;
     const core::IngestResult partial =
-        core::RunIngestResumable(*run_, cheap, Params(), crash_opts);
+        core::RunIngest(*run_, cheap, Params(), crash_opts);
     EXPECT_EQ(partial.index.num_clusters(), 0u);  // Crashed: nothing finalized.
 
     core::IngestOptions resume_opts = crash_opts;
     resume_opts.crash_after_frames = -1;
     const core::IngestResult resumed =
-        core::RunIngestResumable(*run_, cheap, Params(), resume_opts);
+        core::RunIngest(*run_, cheap, Params(), resume_opts);
     EXPECT_GT(resumed.resumed_from_frame, 0);
     ExpectSameResult(resumed, uninterrupted);
 
     // Re-running a sealed stream is a no-op resume with the same result.
     const core::IngestResult rerun =
-        core::RunIngestResumable(*run_, cheap, Params(), resume_opts);
+        core::RunIngest(*run_, cheap, Params(), resume_opts);
     EXPECT_EQ(rerun.resumed_from_frame, run_->num_frames());
     ExpectSameResult(rerun, uninterrupted);
   }
@@ -650,7 +649,7 @@ TEST_F(PipelinePersistenceTest, PooledShardDispatchIsDeterministicAcrossRuns) {
       persist_opts.persist_dir = Dir("pooled-" + std::to_string(num_shards) + "-" +
                                      std::to_string(attempt));
       const core::IngestResult run =
-          core::RunIngestResumable(*run_, cheap, Params(), persist_opts);
+          core::RunIngest(*run_, cheap, Params(), persist_opts);
       ExpectSameResult(run, plain);
       if (attempt == 0) {
         first = run;
@@ -671,15 +670,15 @@ TEST_F(PipelinePersistenceTest, TightCheckpointCadenceStaysByteIdentical) {
   opts.checkpoint_every_frames = 6;  // <= the eviction gap of 8.
   opts.persist_dir = Dir("tight-uninterrupted");
   const core::IngestResult uninterrupted =
-      core::RunIngestResumable(*run_, cheap, Params(), opts);
+      core::RunIngest(*run_, cheap, Params(), opts);
 
   core::IngestOptions crash_opts = opts;
   crash_opts.persist_dir = Dir("tight-crashed");
   crash_opts.crash_after_frames = run_->num_frames() / 2;
-  core::RunIngestResumable(*run_, cheap, Params(), crash_opts);
+  core::RunIngest(*run_, cheap, Params(), crash_opts);
   crash_opts.crash_after_frames = -1;
   const core::IngestResult resumed =
-      core::RunIngestResumable(*run_, cheap, Params(), crash_opts);
+      core::RunIngest(*run_, cheap, Params(), crash_opts);
   EXPECT_GT(resumed.resumed_from_frame, 0);
   ExpectSameResult(resumed, uninterrupted);
 }

@@ -71,7 +71,6 @@ TEST(BackgroundPublishStressTest, ReadersRaceBackgroundBuildsAndCheckpoints) {
   options.finalize_every_frames = kCadence;
   options.checkpoint_every_frames = 160;
   options.background_publish = true;
-  options.incremental_boundary_merge = true;
   options.persist_dir = dir.string();
   options.snapshot_slot = &slot;
 
@@ -136,7 +135,7 @@ TEST(BackgroundPublishStressTest, ReadersRaceBackgroundBuildsAndCheckpoints) {
     });
   }
 
-  const core::IngestResult result = core::RunIngestResumable(run, cheap, params, options);
+  const core::IngestResult result = core::RunIngest(run, cheap, params, options);
   done.store(true);
   for (std::thread& reader : readers) {
     reader.join();

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "src/cluster/sharded_clusterer.h"
 #include "src/cnn/ground_truth.h"
 #include "src/cnn/model_zoo.h"
 #include "src/common/fault_injection.h"
@@ -24,6 +25,8 @@
 #include "src/runtime/ingest_service.h"
 #include "src/runtime/query_service.h"
 #include "src/server/query_server.h"
+#include "src/storage/serializer.h"
+#include "src/storage/snapshot_store.h"
 #include "src/video/flaky_stream.h"
 #include "src/video/stream_generator.h"
 
@@ -169,7 +172,7 @@ TEST_F(ChaosIngestTest, ReuseEvictGapKnobControlsOcclusionSurvival) {
   tight.persist_dir = (dir_ / "gap8").string();
   tight.checkpoint_every_frames = 4;
   tight.reuse_evict_gap_frames = 8;
-  const core::IngestResult evicted = core::RunIngestResumable(run, cheap, params, tight);
+  const core::IngestResult evicted = core::RunIngest(run, cheap, params, tight);
   EXPECT_EQ(evicted.detections, reference.detections);
   EXPECT_EQ(evicted.cnn_invocations, reference.cnn_invocations + 1);
   EXPECT_EQ(evicted.suppressed, reference.suppressed - 1);
@@ -181,7 +184,7 @@ TEST_F(ChaosIngestTest, ReuseEvictGapKnobControlsOcclusionSurvival) {
   wide.persist_dir = (dir_ / "gap16").string();
   wide.checkpoint_every_frames = 4;
   wide.reuse_evict_gap_frames = 16;
-  const core::IngestResult kept = core::RunIngestResumable(run, cheap, params, wide);
+  const core::IngestResult kept = core::RunIngest(run, cheap, params, wide);
   ExpectSameResult(kept, reference);
 }
 
@@ -209,7 +212,7 @@ TEST_F(ChaosIngestTest, StorageFaultSweepConvergesByteIdentical) {
   // No-fault reference through the same persistent configuration.
   core::IngestOptions clean = base;
   clean.persist_dir = (dir_ / "clean").string();
-  auto reference = core::RunIngestResumableChecked(run, cheap, params, clean);
+  auto reference = core::RunIngestChecked(run, cheap, params, clean);
   ASSERT_TRUE(reference.ok()) << reference.error().message;
 
   // Counting pass: an empty armed plan records per-site hit counts.
@@ -222,7 +225,7 @@ TEST_F(ChaosIngestTest, StorageFaultSweepConvergesByteIdentical) {
     common::ScopedFaultPlan armed(&count_plan);
     core::IngestOptions counting = base;
     counting.persist_dir = (dir_ / "count").string();
-    auto counted = core::RunIngestResumableChecked(run, cheap, params, counting);
+    auto counted = core::RunIngestChecked(run, cheap, params, counting);
     ASSERT_TRUE(counted.ok()) << counted.error().message;
     for (const std::string& site : kSites) {
       hits[site] = count_plan.HitCount(site);
@@ -246,7 +249,7 @@ TEST_F(ChaosIngestTest, StorageFaultSweepConvergesByteIdentical) {
           (dir_ / (site + "." + std::to_string(n))).string();
       bool converged = false;
       for (int attempt = 0; attempt < 6 && !converged; ++attempt) {
-        auto outcome = core::RunIngestResumableChecked(run, cheap, params, opts);
+        auto outcome = core::RunIngestChecked(run, cheap, params, opts);
         if (outcome.ok()) {
           ExpectSameResult(*outcome, *reference);
           converged = true;
@@ -285,7 +288,7 @@ TEST_F(ChaosIngestTest, StickyStorageFaultStaysTypedError) {
   opts.checkpoint_every_frames = 16;
   opts.checkpoint_retry.max_attempts = 1;
   for (int attempt = 0; attempt < 3; ++attempt) {
-    auto outcome = core::RunIngestResumableChecked(run, cheap, params, opts);
+    auto outcome = core::RunIngestChecked(run, cheap, params, opts);
     ASSERT_FALSE(outcome.ok()) << "succeeded under a dead disk";
     EXPECT_TRUE(common::IsRetryable(outcome.error().code));
     EXPECT_FALSE(outcome.error().message.empty());
@@ -307,7 +310,7 @@ TEST_F(ChaosIngestTest, DefaultRetryPolicyAbsorbsTransientCommitFault) {
   core::IngestOptions clean;
   clean.persist_dir = (dir_ / "clean").string();
   clean.checkpoint_every_frames = 16;
-  auto reference = core::RunIngestResumableChecked(run, cheap, params, clean);
+  auto reference = core::RunIngestChecked(run, cheap, params, clean);
   ASSERT_TRUE(reference.ok());
 
   common::FaultPlan plan;
@@ -315,7 +318,7 @@ TEST_F(ChaosIngestTest, DefaultRetryPolicyAbsorbsTransientCommitFault) {
   common::ScopedFaultPlan armed(&plan);
   core::IngestOptions opts = clean;
   opts.persist_dir = (dir_ / "faulted").string();
-  auto outcome = core::RunIngestResumableChecked(run, cheap, params, opts);
+  auto outcome = core::RunIngestChecked(run, cheap, params, opts);
   ASSERT_TRUE(outcome.ok()) << outcome.error().message;
   EXPECT_EQ(plan.FireCount("arena.commit.msync"), 1);
   ExpectSameResult(*outcome, *reference);
@@ -393,6 +396,65 @@ TEST_F(ChaosIngestTest, ExhaustedRestartBudgetMarksStreamDown) {
   EXPECT_EQ(metrics.counter("ingest.streams_down"), 1);
   EXPECT_EQ(service.Health("cam").state, runtime::StreamState::kDown);
   EXPECT_EQ(service.FleetHealth().count("cam"), 1u);
+}
+
+// A checkpoint from an older sharded.meta version is well-formed but
+// unusable: recovery refuses it with a non-retryable FailedPrecondition naming
+// both versions, so the supervisor marks the stream Down at once instead of
+// burning its restart budget re-reading the same file.
+TEST_F(ChaosIngestTest, OldShardedMetaVersionIsRefusedWithoutRestarts) {
+  // A v2 header (version, shard count, then the since-removed merge-mode
+  // echo) sealed with a valid CRC.
+  auto write_v2_meta = [](const fs::path& stream_dir) {
+    fs::create_directories(stream_dir);
+    storage::Encoder enc;
+    enc.PutU32(2);
+    enc.PutVarint(1);
+    enc.PutSignedVarint(8192);
+    enc.PutDouble(0.5);
+    enc.PutU32(0);
+    enc.PutU32(storage::Crc32(enc.bytes()));
+    ASSERT_TRUE(
+        storage::WriteFileAtomic((stream_dir / "sharded.meta").string(), enc.bytes()).ok());
+  };
+
+  write_v2_meta(dir_ / "direct");
+  cluster::ShardedClusterer clusterer;
+  auto recovery = clusterer.OpenOrRecover((dir_ / "direct").string());
+  ASSERT_FALSE(recovery.ok());
+  EXPECT_EQ(recovery.error().code, common::ErrorCode::kFailedPrecondition);
+  EXPECT_NE(recovery.error().message.find("version 2"), std::string::npos)
+      << recovery.error().message;
+  EXPECT_NE(recovery.error().message.find("version 3"), std::string::npos)
+      << recovery.error().message;
+
+  video::ClassCatalog catalog(21);
+  video::StreamProfile profile;
+  ASSERT_TRUE(video::FindProfile("auburn_c", &profile));
+  video::StreamRun run(&catalog, profile, 6.0, 10.0, 5);
+  runtime::IngestServiceOptions service_options;
+  service_options.num_worker_threads = 1;
+  service_options.max_worker_restarts = 3;
+  service_options.persist_dir = (dir_ / "fleet").string();
+  write_v2_meta(dir_ / "fleet" / "cam");
+  runtime::MetricsRegistry metrics;
+  runtime::IngestService service(service_options, &metrics);
+  runtime::IngestJob job;
+  job.name = "cam";
+  job.run = &run;
+  job.params = CheapParams();
+  service.AddStream(job);
+  const runtime::FleetIngestSummary summary = service.RunAll();
+
+  ASSERT_EQ(summary.reports.size(), 1u);
+  const runtime::IngestReport& report = summary.reports[0];
+  EXPECT_EQ(report.health.state, runtime::StreamState::kDown);
+  EXPECT_EQ(report.health.restarts, 0);
+  EXPECT_EQ(report.health.consecutive_failures, 1);
+  ASSERT_TRUE(report.error.has_value());
+  EXPECT_EQ(report.error->code, common::ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(metrics.counter("ingest.worker_restarts"), 0);
+  EXPECT_EQ(metrics.counter("ingest.streams_down"), 1);
 }
 
 // --- Degraded-mode serving through the query server ---

@@ -142,7 +142,7 @@ TEST_F(FlakyStreamTest, RandomRestartsConvergeByteIdenticalUnderSupervision) {
     core::IngestResult converged;
     bool ok = false;
     for (int attempt = 0; attempt <= restarts; ++attempt) {
-      auto outcome = core::RunIngestResumableChecked(flaky, cheap, params, opts);
+      auto outcome = core::RunIngestChecked(flaky, cheap, params, opts);
       if (outcome.ok()) {
         converged = *std::move(outcome);
         ok = true;

@@ -63,7 +63,6 @@ TEST(LiveQueryStressTest, ConcurrentQueriesOverAdvancingIngest) {
   job.run = &run;
   job.params = params;
   job.options.num_shards = 4;
-  job.options.shard_merge_interval = 512;
   service.AddStream(job);
 
   const std::vector<common::ClassId>& classes = run.present_classes();

@@ -125,7 +125,7 @@ TEST(LiveSnapshotPropertyTest, SnapshotEqualsHaltAndFinalize) {
       IngestOptions options;
       options.num_shards = num_shards;
       options.cluster_mode = mode;
-      options.shard_merge_interval = 500 + rng.Next() % 1000;
+      rng.Next();  // Was the periodic merge interval; keeps later draws stable.
       options.finalize_every_frames = 40 + static_cast<int64_t>(rng.Next() % 200);
       SCOPED_TRACE("shards=" + std::to_string(num_shards) +
                    " mode=" + std::to_string(static_cast<int>(mode)) +
@@ -222,20 +222,20 @@ TEST(LiveSnapshotPropertyTest, ResumableSnapshotsMatchUninterrupted) {
     a.snapshot_sink = [&](std::shared_ptr<const LiveSnapshot> snap) {
       uninterrupted.push_back(std::move(snap));
     };
-    const IngestResult full = RunIngestResumable(run, cheap, params, a);
+    const IngestResult full = RunIngest(run, cheap, params, a);
     ASSERT_GE(uninterrupted.size(), 4u);
 
     IngestOptions b = options;
     b.persist_dir = (dir / ("c" + std::to_string(num_shards))).string();
     b.crash_after_frames = run.num_frames() / 2;
-    RunIngestResumable(run, cheap, params, b);
+    RunIngest(run, cheap, params, b);
 
     std::vector<std::shared_ptr<const LiveSnapshot>> resumed;
     b.crash_after_frames = -1;
     b.snapshot_sink = [&](std::shared_ptr<const LiveSnapshot> snap) {
       resumed.push_back(std::move(snap));
     };
-    const IngestResult after = RunIngestResumable(run, cheap, params, b);
+    const IngestResult after = RunIngest(run, cheap, params, b);
     EXPECT_GT(after.resumed_from_frame, 0);
     ASSERT_FALSE(resumed.empty());
     ExpectSameIndex(after.index, full.index);
@@ -277,7 +277,6 @@ TEST(LiveSnapshotPropertyTest, BackgroundIncrementalSnapshotsEqualHaltAndFinaliz
     IngestOptions options;
     options.num_shards = num_shards;
     options.finalize_every_frames = 40 + static_cast<int64_t>(rng.Next() % 100);
-    options.incremental_boundary_merge = true;
     SCOPED_TRACE("shards=" + std::to_string(num_shards) +
                  " every=" + std::to_string(options.finalize_every_frames) +
                  " seed=" + std::to_string(seed));
@@ -347,7 +346,6 @@ TEST(LiveSnapshotPropertyTest, BackgroundResumableSnapshotsMatchUninterrupted) {
     options.finalize_every_frames = 90;
     options.checkpoint_every_frames = 64;
     options.background_publish = true;
-    options.incremental_boundary_merge = true;
 
     std::vector<std::shared_ptr<const LiveSnapshot>> uninterrupted;
     IngestOptions a = options;
@@ -355,20 +353,20 @@ TEST(LiveSnapshotPropertyTest, BackgroundResumableSnapshotsMatchUninterrupted) {
     a.snapshot_sink = [&](std::shared_ptr<const LiveSnapshot> snap) {
       uninterrupted.push_back(std::move(snap));
     };
-    const IngestResult full = RunIngestResumable(run, cheap, params, a);
+    const IngestResult full = RunIngest(run, cheap, params, a);
     ASSERT_GE(uninterrupted.size(), 4u);
 
     IngestOptions b = options;
     b.persist_dir = (dir / ("c" + std::to_string(num_shards))).string();
     b.crash_after_frames = run.num_frames() / 2;
-    RunIngestResumable(run, cheap, params, b);
+    RunIngest(run, cheap, params, b);
 
     std::vector<std::shared_ptr<const LiveSnapshot>> resumed;
     b.crash_after_frames = -1;
     b.snapshot_sink = [&](std::shared_ptr<const LiveSnapshot> snap) {
       resumed.push_back(std::move(snap));
     };
-    const IngestResult after = RunIngestResumable(run, cheap, params, b);
+    const IngestResult after = RunIngest(run, cheap, params, b);
     EXPECT_GT(after.resumed_from_frame, 0);
     ASSERT_FALSE(resumed.empty());
     ExpectSameIndex(after.index, full.index);

@@ -1,17 +1,29 @@
 // Tests for sharded intra-stream clustering (src/cluster/sharded_clusterer.h):
 // single-shard equivalence with IncrementalClusterer, parallel/sequential
 // dispatch equivalence, conservation of detections through the cross-shard
-// merge, and the sharded ingest pipeline path.
+// merge, and the sharded ingest pipeline path (the one ingest engine at one
+// shard against a sequential reference, scratch reuse, accuracy at four
+// shards).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/incremental_clusterer.h"
 #include "src/cluster/sharded_clusterer.h"
+#include "src/cnn/ground_truth.h"
 #include "src/common/rng.h"
+#include "src/core/accuracy_evaluator.h"
 #include "src/core/ingest_pipeline.h"
+#include "src/core/parameter_tuner.h"
+#include "src/core/query_engine.h"
 #include "src/runtime/worker_pool.h"
+#include "src/video/stream_generator.h"
 
 namespace focus::cluster {
 namespace {
@@ -56,7 +68,6 @@ ShardedClustererOptions Options(size_t num_shards, double threshold,
   opts.base.threshold = threshold;
   opts.base.mode = mode;
   opts.num_shards = num_shards;
-  opts.merge_interval = 256;  // Exercise the periodic pass, not just the final one.
   return opts;
 }
 
@@ -174,88 +185,6 @@ TEST(ShardedClustererTest, CrossShardMergeFoldsIdenticalAppearance) {
   EXPECT_GE(sharded.merges_folded(), 1);
 }
 
-TEST(ShardedClustererTest, DriftedClustersRequeueAndFoldMidStream) {
-  // Two long-lived clusters on different shards whose centroids *converge*
-  // mid-stream: each object's observations approach the midpoint of the two
-  // starting appearances geometrically, so both running-mean centroids drift
-  // toward each other while every observation stays within T of its own
-  // cluster. Created at the very start, both clusters predate the first
-  // incremental merge pass — under the created-since-last-pass policy alone
-  // they are never re-queried, and only FinalizeClusters folds them. With
-  // drift re-queueing they fold at a periodic pass, mid-stream.
-  constexpr size_t kDim = 8;
-  constexpr double kThreshold = 0.5;
-  constexpr float kR = 0.98f;  // Geometric approach ratio toward the midpoint.
-  constexpr size_t kObsPerObject = 400;
-
-  auto build = [&](double requeue_fraction) {
-    ShardedClustererOptions opts = Options(2, kThreshold, ClustererOptions::Mode::kExact);
-    opts.merge_interval = 50;
-    opts.merge_requeue_fraction = requeue_fraction;
-    return opts;
-  };
-  auto run_stream = [&](ShardedClusterer& sharded, int64_t* ga, int64_t* gb) {
-    common::ObjectId a = 0;
-    common::ObjectId b = 1;
-    while (sharded.ShardOf(b) == sharded.ShardOf(a)) {
-      ++b;
-    }
-    common::FeatureVec u(kDim, 0.0f);
-    common::FeatureVec v(kDim, 0.0f);
-    u[0] = 2.0f;  // ||u - v|| = 2*sqrt(2), far beyond T.
-    v[1] = 2.0f;
-    common::FeatureVec mid(kDim, 0.0f);
-    mid[0] = 1.0f;
-    mid[1] = 1.0f;
-    auto approach = [&](const common::FeatureVec& from, float shrink) {
-      common::FeatureVec f(kDim);
-      for (size_t i = 0; i < kDim; ++i) {
-        f[i] = mid[i] + (from[i] - mid[i]) * shrink;
-      }
-      return f;
-    };
-    float shrink = 1.0f;
-    for (size_t k = 0; k < kObsPerObject; ++k) {
-      const int64_t la =
-          sharded.Add(Det(a, static_cast<common::FrameIndex>(k)), approach(u, shrink));
-      const int64_t lb =
-          sharded.Add(Det(b, static_cast<common::FrameIndex>(k)), approach(v, shrink));
-      if (k == 0) {
-        *ga = la;
-        *gb = lb;
-      } else {
-        // The drift must never fragment either track into a second cluster —
-        // otherwise the "created since last pass" policy would see new ids.
-        ASSERT_EQ(la, *ga) << "obs " << k;
-        ASSERT_EQ(lb, *gb) << "obs " << k;
-      }
-      shrink *= kR;
-    }
-  };
-
-  // Baseline policy (no re-queue): converged clusters stay separate until the
-  // final full pass.
-  {
-    ShardedClusterer sharded(build(0.0));
-    int64_t ga = -1;
-    int64_t gb = -1;
-    run_stream(sharded, &ga, &gb);
-    EXPECT_NE(sharded.CanonicalOf(ga), sharded.CanonicalOf(gb));
-    EXPECT_EQ(sharded.merges_folded(), 0);
-    EXPECT_EQ(sharded.FinalizeClusters().size(), 1u);  // Only finalize folds.
-  }
-  // Drift re-queue: the periodic passes fold them mid-stream.
-  {
-    ShardedClusterer sharded(build(0.5));
-    int64_t ga = -1;
-    int64_t gb = -1;
-    run_stream(sharded, &ga, &gb);
-    EXPECT_EQ(sharded.CanonicalOf(ga), sharded.CanonicalOf(gb));
-    EXPECT_GE(sharded.merges_folded(), 1);
-    EXPECT_EQ(sharded.FinalizeClusters().size(), 1u);
-  }
-}
-
 // --- Sharded ingest pipeline path ---
 
 core::ClassifiedSample MakeClassifiedSample(const SyntheticStream& stream, int k) {
@@ -286,7 +215,89 @@ core::ClassifiedSample MakeClassifiedSample(const SyntheticStream& stream, int k
   return sample;
 }
 
-TEST(ShardedIngestPipelineTest, SingleShardMatchesSequentialPath) {
+// Per-cluster min rank of every class seen in a member's top-K output.
+using BestRanks = std::map<int64_t, std::map<common::ClassId, int32_t>>;
+
+void RecordRanks(const core::ClassifiedDetection& entry, size_t width, int64_t id,
+                 BestRanks* best_rank) {
+  for (size_t pos = 0; pos < std::min(width, entry.topk.entries.size()); ++pos) {
+    const int32_t rank = static_cast<int32_t>(pos) + 1;
+    auto [it, inserted] = (*best_rank)[id].try_emplace(entry.topk.entries[pos].first, rank);
+    if (!inserted) {
+      it->second = std::min(it->second, rank);
+    }
+  }
+}
+
+// One index entry per cluster of |table| (ascending id; the index numbers
+// entries by slot), classes sorted by (best rank, class id).
+std::vector<index::ClusterEntry> ReferenceEntries(const std::vector<Cluster>& table,
+                                                  BestRanks& best_rank) {
+  std::vector<index::ClusterEntry> entries;
+  for (const Cluster& c : table) {
+    index::ClusterEntry entry;
+    entry.cluster_id = static_cast<int64_t>(entries.size());
+    entry.representative = c.representative;
+    entry.members = c.members;
+    entry.size = c.size;
+    std::vector<std::pair<int32_t, common::ClassId>> ranked;
+    for (const auto& [cls, rank] : best_rank[c.id]) {
+      ranked.emplace_back(rank, cls);
+    }
+    std::sort(ranked.begin(), ranked.end());
+    for (const auto& [rank, cls] : ranked) {
+      entry.topk_classes.push_back(cls);
+      entry.topk_ranks.push_back(rank);
+    }
+    entries.push_back(std::move(entry));
+  }
+  return entries;
+}
+
+// The sequential reference the engine must reproduce at one shard, written
+// here so it stays independent of the pipeline: a lone IncrementalClusterer
+// fed in stream order (AddSuppressed for reused detections) plus a
+// per-cluster min-rank map.
+std::vector<index::ClusterEntry> SequentialReference(const core::ClassifiedSample& sample,
+                                                     const core::IngestParams& params,
+                                                     ClustererOptions::Mode mode) {
+  ClustererOptions base;
+  base.threshold = params.cluster_threshold;
+  base.mode = mode;
+  base.max_active = core::IngestOptions{}.max_active_clusters;
+  IncrementalClusterer clusterer(base);
+  BestRanks best_rank;
+  const size_t width = static_cast<size_t>(std::min(params.k, sample.k));
+  for (const core::ClassifiedDetection& entry : sample.detections) {
+    const int64_t id = entry.reused ? clusterer.AddSuppressed(entry.detection, entry.feature)
+                                    : clusterer.Add(entry.detection, entry.feature);
+    RecordRanks(entry, width, id, &best_rank);
+  }
+  return ReferenceEntries(clusterer.clusters(), best_rank);
+}
+
+void ExpectIndexEquals(const std::vector<index::ClusterEntry>& want,
+                       const index::TopKIndex& got) {
+  ASSERT_EQ(got.num_clusters(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    const index::ClusterEntry& a = want[i];
+    const index::ClusterEntry& b = got.clusters()[i];
+    EXPECT_EQ(b.cluster_id, a.cluster_id);
+    EXPECT_EQ(b.size, a.size);
+    EXPECT_EQ(b.representative.object_id, a.representative.object_id);
+    EXPECT_EQ(b.representative.frame, a.representative.frame);
+    EXPECT_EQ(b.topk_classes, a.topk_classes);
+    EXPECT_EQ(b.topk_ranks, a.topk_ranks);
+    ASSERT_EQ(b.members.size(), a.members.size());
+    for (size_t m = 0; m < a.members.size(); ++m) {
+      EXPECT_EQ(b.members[m].object, a.members[m].object);
+      EXPECT_EQ(b.members[m].first_frame, a.members[m].first_frame);
+      EXPECT_EQ(b.members[m].last_frame, a.members[m].last_frame);
+    }
+  }
+}
+
+TEST(ShardedIngestPipelineTest, SingleShardMatchesSequentialReference) {
   const SyntheticStream stream = MakeStream(24, 16, 700, 17);
   const core::ClassifiedSample sample = MakeClassifiedSample(stream, 3);
 
@@ -294,30 +305,66 @@ TEST(ShardedIngestPipelineTest, SingleShardMatchesSequentialPath) {
   params.k = 3;
   params.cluster_threshold = 0.5;
 
-  core::IngestOptions sequential;
-  sequential.cluster_mode = ClustererOptions::Mode::kFast;
-  core::IngestOptions sharded = sequential;
-  sharded.num_shards = 1;
-  sharded.shard_batch = 128;
+  for (auto mode : {ClustererOptions::Mode::kExact, ClustererOptions::Mode::kFast}) {
+    // Without and with a snapshot cadence: at one shard a boundary has no
+    // clustering side effect.
+    for (int64_t every : {0, 64}) {
+      SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
+                   " every=" + std::to_string(every));
+      core::IngestOptions options;
+      options.cluster_mode = mode;
+      options.num_shards = 1;
+      options.finalize_every_frames = every;
+      int64_t epochs = 0;
+      if (every > 0) {
+        options.snapshot_sink = [&](std::shared_ptr<const core::LiveSnapshot>) { ++epochs; };
+      }
+      const core::IngestResult got = core::RunIngestClassified(sample, params, options);
+      EXPECT_EQ(epochs > 0, every > 0);
 
-  const core::IngestResult a = core::RunIngestClassified(sample, params, sequential);
-  // Drive the sharded machinery itself (AssignBatch dispatch, global/canonical
-  // id mapping, finalize) at one shard: RunIngestClassified would route
-  // num_shards == 1 to the plain path, so call the sharded stage directly —
-  // it must be indistinguishable from the plain path.
-  const core::IngestResult b = core::RunIngestClassifiedSharded(sample, params, sharded);
+      const std::vector<index::ClusterEntry> want = SequentialReference(sample, params, mode);
+      EXPECT_EQ(got.detections, static_cast<int64_t>(sample.detections.size()));
+      EXPECT_EQ(got.suppressed, sample.suppressed);
+      EXPECT_EQ(got.num_clusters, static_cast<int64_t>(want.size()));
+      ExpectIndexEquals(want, got.index);
+    }
+  }
+}
 
-  EXPECT_EQ(b.detections, a.detections);
-  EXPECT_EQ(b.suppressed, a.suppressed);
-  EXPECT_EQ(b.num_clusters, a.num_clusters);
-  ASSERT_EQ(b.index.num_clusters(), a.index.num_clusters());
-  for (size_t i = 0; i < a.index.num_clusters(); ++i) {
-    const index::ClusterEntry& ea = a.index.clusters()[i];
-    const index::ClusterEntry& eb = b.index.clusters()[i];
-    EXPECT_EQ(eb.size, ea.size);
-    EXPECT_EQ(eb.topk_classes, ea.topk_classes);
-    EXPECT_EQ(eb.topk_ranks, ea.topk_ranks);
-    EXPECT_EQ(eb.members.size(), ea.members.size());
+// Above one shard, the engine's end-of-stream index (the canonical cut)
+// equals ShardedClusterer::FinalizeClusters over the same assignments, with
+// ranks folded onto canonical ids.
+TEST(ShardedIngestPipelineTest, MultiShardIndexMatchesFinalizeClusters) {
+  // Six objects per appearance: duplicates land on different shards, so the
+  // cross-shard fold has work to do.
+  SyntheticStream stream = MakeStream(8, 16, 900, 31);
+  for (size_t i = 0; i < stream.detections.size(); ++i) {
+    stream.detections[i].object_id += 8 * static_cast<common::ObjectId>(i % 6);
+  }
+  const core::ClassifiedSample sample = MakeClassifiedSample(stream, 3);
+  core::IngestParams params;
+  params.k = 3;
+  params.cluster_threshold = 0.5;
+  for (size_t num_shards : {2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(num_shards));
+    core::IngestOptions options;
+    options.cluster_mode = ClustererOptions::Mode::kExact;
+    options.num_shards = static_cast<int>(num_shards);
+    const core::IngestResult got = core::RunIngestClassified(sample, params, options);
+
+    ShardedClusterer reference(Options(num_shards, 0.5, ClustererOptions::Mode::kExact));
+    std::vector<int64_t> raw_ids;
+    for (const core::ClassifiedDetection& entry : sample.detections) {
+      raw_ids.push_back(entry.reused ? reference.AddSuppressed(entry.detection, entry.feature)
+                                     : reference.Add(entry.detection, entry.feature));
+    }
+    const std::vector<Cluster> table = reference.FinalizeClusters();
+    EXPECT_GT(reference.merges_folded(), 0);  // The fold is exercised.
+    BestRanks best_rank;
+    for (size_t i = 0; i < sample.detections.size(); ++i) {
+      RecordRanks(sample.detections[i], 3, reference.CanonicalOf(raw_ids[i]), &best_rank);
+    }
+    ExpectIndexEquals(ReferenceEntries(table, best_rank), got.index);
   }
 }
 
@@ -332,19 +379,17 @@ TEST(ShardedIngestPipelineTest, CallerSuppliedPoolMatchesPerCallPool) {
   core::IngestOptions options;
   options.cluster_mode = ClustererOptions::Mode::kExact;
   options.num_shards = 3;
-  options.shard_batch = 64;
-  options.shard_merge_interval = 128;
 
   // Per-call pool (the default) vs one reusable pool across several runs — a
   // tuner-style caller re-running configurations. Outputs must be identical;
   // the pool only changes who executes the shard tasks.
-  const core::IngestResult per_call = core::RunIngestClassifiedSharded(sample, params, options);
+  const core::IngestResult per_call = core::RunIngestClassified(sample, params, options);
   runtime::WorkerPool pool(static_cast<int>(options.num_shards),
                            /*queue_capacity=*/static_cast<size_t>(options.num_shards) * 2,
                            /*pop_batch=*/1);
   for (int rerun = 0; rerun < 3; ++rerun) {
     const core::IngestResult reused =
-        core::RunIngestClassifiedSharded(sample, params, options, &pool);
+        core::RunIngestClassified(sample, params, options, nullptr, &pool);
     EXPECT_EQ(reused.detections, per_call.detections);
     EXPECT_EQ(reused.num_clusters, per_call.num_clusters);
     ASSERT_EQ(reused.index.num_clusters(), per_call.index.num_clusters());
@@ -372,7 +417,6 @@ TEST(ShardedClustererTest, RetiredClusterFoldsWithDuplicateCreatedAfterRetiremen
   opts.base.mode = ClustererOptions::Mode::kExact;
   opts.base.max_active = 2;  // Tiny cap so X retires.
   opts.num_shards = 2;
-  opts.merge_interval = 0;  // Only the explicit/final pass merges.
   ShardedClusterer sharded(opts);
 
   // Pick object ids by their shard.
@@ -438,8 +482,6 @@ TEST(ShardedIngestPipelineTest, FourShardsConserveIndexedDetections) {
   core::IngestOptions options;
   options.cluster_mode = ClustererOptions::Mode::kExact;
   options.num_shards = 4;
-  options.shard_batch = 128;
-  options.shard_merge_interval = 256;
 
   const core::IngestResult result = core::RunIngestClassified(sample, params, options);
   EXPECT_EQ(result.detections, static_cast<int64_t>(sample.detections.size()));
@@ -453,6 +495,93 @@ TEST(ShardedIngestPipelineTest, FourShardsConserveIndexedDetections) {
   for (size_t i = 0; i < result.index.num_clusters(); ++i) {
     EXPECT_EQ(again.index.clusters()[i].size, result.index.clusters()[i].size);
   }
+}
+
+TEST(ShardedIngestPipelineTest, ScratchClustererResetMatchesFreshRun) {
+  // The tuner re-runs clustering over one sample with a warm scratch
+  // clusterer; Reset must leave no state behind — across thresholds and shard
+  // counts, in either direction.
+  const SyntheticStream stream = MakeStream(40, 16, 900, 29);
+  const core::ClassifiedSample sample = MakeClassifiedSample(stream, 3);
+  ShardedClusterer scratch;
+  for (int num_shards : {4, 1, 2, 4}) {
+    for (double threshold : {0.4, 0.5}) {
+      SCOPED_TRACE("shards=" + std::to_string(num_shards) +
+                   " threshold=" + std::to_string(threshold));
+      core::IngestParams params;
+      params.k = 3;
+      params.cluster_threshold = threshold;
+      core::IngestOptions options;
+      options.cluster_mode = ClustererOptions::Mode::kExact;
+      options.num_shards = num_shards;
+      options.finalize_every_frames = 100;
+      const core::IngestResult fresh = core::RunIngestClassified(sample, params, options);
+      const core::IngestResult reused =
+          core::RunIngestClassified(sample, params, options, &scratch);
+      EXPECT_EQ(reused.num_clusters, fresh.num_clusters);
+      EXPECT_DOUBLE_EQ(reused.clusterer_fast_hit_rate, fresh.clusterer_fast_hit_rate);
+      ASSERT_EQ(reused.index.num_clusters(), fresh.index.num_clusters());
+      for (size_t i = 0; i < fresh.index.num_clusters(); ++i) {
+        const index::ClusterEntry& a = fresh.index.clusters()[i];
+        const index::ClusterEntry& b = reused.index.clusters()[i];
+        EXPECT_EQ(b.cluster_id, a.cluster_id);
+        EXPECT_EQ(b.size, a.size);
+        EXPECT_EQ(b.members.size(), a.members.size());
+        EXPECT_EQ(b.topk_classes, a.topk_classes);
+        EXPECT_EQ(b.topk_ranks, a.topk_ranks);
+      }
+    }
+  }
+}
+
+// Accuracy above one shard (§6 targets: >= 95% precision and recall): a
+// Table 1 stream tuned as usual, then ingested at four shards with boundary
+// merges at a snapshot cadence, answers its dominant-class queries at the
+// paper's targets.
+TEST(ShardedIngestPipelineTest, FourShardIngestMeetsAccuracyTargets) {
+  video::ClassCatalog catalog(42);
+  video::StreamProfile profile;
+  ASSERT_TRUE(video::FindProfile("auburn_c", &profile));
+  video::StreamRun run(&catalog, profile, /*duration_sec=*/300.0, /*fps=*/30.0, 7);
+  const cnn::Cnn gt(cnn::GtCnnDesc(catalog.world_seed()), &catalog);
+
+  core::TunerOptions tuner_options;
+  tuner_options.sample_sec = 90.0;
+  tuner_options.k_grid = {4, 8};
+  tuner_options.threshold_grid = {0.45, 0.6};
+  tuner_options.ls_grid = {15};
+  tuner_options.include_generic_models = false;
+  tuner_options.ingest.num_shards = 4;
+  const core::TuningResult tuning =
+      core::ParameterTuner(&catalog, &gt, tuner_options)
+          .Tune(run, profile.appearance_variability, core::AccuracyTarget{},
+                core::Policy::kBalance);
+  ASSERT_TRUE(tuning.found);
+  const core::IngestParams params = tuning.chosen().params;
+
+  core::IngestOptions options;
+  options.num_shards = 4;
+  options.finalize_every_frames = 256;
+  const cnn::Cnn cheap(params.model, &catalog);
+  const core::IngestResult ingest = core::RunIngest(run, cheap, params, options);
+
+  const cnn::SegmentGroundTruth truth(run, gt);
+  const core::AccuracyEvaluator evaluator(&truth, run.fps());
+  const core::QueryEngine engine(&ingest.index, &cheap, &gt);
+  const std::vector<common::ClassId> dominant = truth.DominantClasses(0.95, 12);
+  ASSERT_FALSE(dominant.empty());
+  double precision = 0.0;
+  double recall = 0.0;
+  for (common::ClassId cls : dominant) {
+    const core::PrecisionRecall pr =
+        evaluator.Evaluate(cls, engine.Query(cls, -1, {}, run.fps()));
+    precision += pr.precision;
+    recall += pr.recall;
+  }
+  precision /= static_cast<double>(dominant.size());
+  recall /= static_cast<double>(dominant.size());
+  EXPECT_GE(precision, 0.95);
+  EXPECT_GE(recall, 0.95);
 }
 
 }  // namespace
