@@ -5,10 +5,12 @@
 // a time, so neither one query nor several concurrent analysts could fill a GPU
 // batch (ROADMAP "Query-side batch GT-CNN"). The plan/execute redesign makes
 // batching the native mode: QueryEngine::Plan emits centroid work items,
-// runtime::QueryService pools them across concurrent requests, dedups shared
-// (stream, centroid) classifications, and packs launches of up to batch_size
-// images whose per-launch overhead is paid once (cnn cost model,
-// kLaunchOverheadShare). This bench tracks, per (concurrency, batch_size):
+// runtime::FleetQueryService pools them across concurrent requests, dedups
+// shared (stream, centroid) classifications, and packs launches of up to
+// batch_size images whose per-launch overhead is paid once (cnn cost model,
+// kLaunchOverheadShare). Each scenario runs on a fresh service, so its verdict
+// cache starts empty and every unique centroid is paid. This bench tracks, per
+// (concurrency, batch_size):
 //
 //   - total GPU-millis actually charged to the 10-GPU virtual cluster,
 //   - mean/max request latency on the virtual clock,
@@ -28,7 +30,7 @@
 
 #include "bench/bench_util.h"
 #include "src/cnn/ground_truth.h"
-#include "src/runtime/query_service.h"
+#include "src/runtime/fleet_query_service.h"
 
 namespace {
 
@@ -38,10 +40,10 @@ using focus::bench::MakeRun;
 using focus::core::FocusOptions;
 using focus::core::FocusStream;
 using focus::core::QueryResult;
-using focus::runtime::QueryBatchStats;
+using focus::runtime::FleetQueryRequest;
+using focus::runtime::FleetQueryService;
+using focus::runtime::FleetServiceStats;
 using focus::runtime::QueryExecution;
-using focus::runtime::QueryRequest;
-using focus::runtime::QueryService;
 using focus::runtime::QueryServiceOptions;
 
 constexpr int kNumGpus = 10;
@@ -50,8 +52,7 @@ struct Scenario {
   int concurrency = 1;
   int batch_size = 1;
   bool duplicates = false;  // All requests the same class (dedup showcase).
-  QueryBatchStats stats;
-  double total_busy_millis = 0.0;
+  FleetServiceStats stats;
   double mean_latency_millis = 0.0;
   double max_latency_millis = 0.0;
   bool identical = true;  // Results match the direct engine query.
@@ -109,19 +110,19 @@ int main() {
         s.batch_size = batch_size;
         s.duplicates = duplicates;
 
-        std::vector<QueryRequest> requests;
+        std::vector<FleetQueryRequest> requests;
         for (int i = 0; i < concurrency; ++i) {
           const size_t cls_index =
               duplicates ? 0 : static_cast<size_t>(i) % dominant.size();
-          requests.push_back(QueryRequest{&focus, dominant[cls_index], -1, {}});
+          requests.push_back(
+              FleetQueryRequest{"auburn_c", "default", {&focus, dominant[cls_index], -1, {}}});
         }
 
-        QueryService service(QueryServiceOptions{kNumGpus, batch_size});
+        FleetQueryService service(QueryServiceOptions{kNumGpus, batch_size});
         const std::vector<QueryExecution> executions =
             service.ExecuteConcurrently(requests);
 
-        s.stats = service.last_stats();
-        s.total_busy_millis = service.cluster().Stats().total_busy_millis;
+        s.stats = service.stats();
         for (size_t i = 0; i < executions.size(); ++i) {
           const double latency = executions[i].latency_millis();
           s.mean_latency_millis += latency / static_cast<double>(executions.size());
@@ -141,8 +142,8 @@ int main() {
         std::printf("%5d %6d %4s %8lld %7lld %8lld %12.1f %12.1f %12.1f %10s\n",
                     s.concurrency, s.batch_size, s.duplicates ? "yes" : "no",
                     static_cast<long long>(s.stats.work_items),
-                    static_cast<long long>(s.stats.unique_items),
-                    static_cast<long long>(s.stats.launches), s.total_busy_millis,
+                    static_cast<long long>(s.stats.cache_misses),
+                    static_cast<long long>(s.stats.launches), s.stats.gpu_millis,
                     s.mean_latency_millis, s.max_latency_millis,
                     s.identical ? "yes" : "NO");
         scenarios.push_back(s);
@@ -153,8 +154,8 @@ int main() {
       const Scenario& base = scenarios[scenarios.size() - 3];  // batch_size = 1.
       for (size_t i = scenarios.size() - 2; i < scenarios.size(); ++i) {
         const Scenario& batched = scenarios[i];
-        if (base.stats.unique_items > kNumGpus &&
-            (batched.total_busy_millis >= base.total_busy_millis ||
+        if (base.stats.cache_misses > kNumGpus &&
+            (batched.stats.gpu_millis >= base.stats.gpu_millis ||
              batched.max_latency_millis >= base.max_latency_millis)) {
           batching_wins = false;
         }
@@ -176,9 +177,9 @@ int main() {
           "\"max_latency_millis\": %.1f, \"identical\": %s}%s\n",
           s.concurrency, s.batch_size, s.duplicates ? "true" : "false",
           static_cast<long long>(s.stats.work_items),
-          static_cast<long long>(s.stats.unique_items),
+          static_cast<long long>(s.stats.cache_misses),
           static_cast<long long>(s.stats.dedup_hits),
-          static_cast<long long>(s.stats.launches), s.total_busy_millis,
+          static_cast<long long>(s.stats.launches), s.stats.gpu_millis,
           s.mean_latency_millis, s.max_latency_millis, s.identical ? "true" : "false",
           i + 1 < scenarios.size() ? "," : "");
     }

@@ -11,9 +11,9 @@
 
 #include "src/common/logging.h"
 #include "src/core/focus_stream.h"
+#include "src/runtime/fleet_query_service.h"
 #include "src/runtime/ingest_service.h"
 #include "src/runtime/metrics.h"
-#include "src/runtime/query_service.h"
 #include "src/storage/index_codec.h"
 #include "src/storage/record_log.h"
 #include "src/storage/snapshot_store.h"
@@ -136,9 +136,10 @@ int main() {
   std::printf("\n== Query service (10 GPUs) ==\n");
   cnn::SegmentGroundTruth truth(run, focus.gt_cnn());
   auto dominant = truth.DominantClasses(0.95, 3);
-  runtime::QueryService queries(runtime::QueryServiceOptions{.num_gpus = 10}, &metrics);
+  runtime::FleetQueryService queries(runtime::QueryServiceOptions{.num_gpus = 10}, &metrics);
   for (common::ClassId cls : dominant) {
-    runtime::QueryExecution e = queries.Execute({.stream = &focus, .cls = cls});
+    runtime::QueryExecution e =
+        queries.Execute({.camera = "auburn_c", .query = {.stream = &focus, .cls = cls}});
     std::printf("  '%s': %lld frames in %.0f ms wall (%lld centroids verified)\n",
                 catalog.Name(cls).c_str(), static_cast<long long>(e.result.frames_returned),
                 e.latency_millis(), static_cast<long long>(e.result.centroids_classified));

@@ -52,7 +52,7 @@ class FocusStream {
   // Plan/execute form (§5; see query_engine.h): Plan() is the free index-lookup
   // half at this stream's recording fps; an executor classifies the plan's
   // centroid work items (batched, possibly shared across concurrent queries —
-  // runtime::QueryService) and Resolve() folds the verdicts into the result.
+  // runtime::FleetQueryService) and Resolve() folds the verdicts into the result.
   QueryPlan Plan(common::ClassId cls, int kx = -1, common::TimeRange range = {}) const;
   QueryResult Resolve(const QueryPlan& plan,
                       std::span<const common::ClassId> verdicts) const;

@@ -14,8 +14,8 @@
 //                           emits one CentroidWorkItem per candidate cluster.
 //   <classification>        QT3: any execution strategy that produces a GT-CNN
 //                           top-1 verdict per work item — cnn::Cnn::ClassifyBatch
-//                           over any batching, a shared cross-query verdict table
-//                           (runtime::QueryService), or a cached verdict
+//                           over any batching, a shared cross-query verdict cache
+//                           (runtime::FleetQueryService), or a cached verdict
 //                           (QuerySession).
 //   Resolve(plan, verdicts) QT4: folds the verdicts into the final QueryResult.
 //
@@ -23,7 +23,7 @@
 // Resolve. Its results are byte-identical to the seed's per-centroid loop, and
 // QueryResult::gpu_millis always accounts the per-centroid (unbatched) GPU cost so
 // result accounting is execution-independent; the launch-amortized cost of an
-// actual batched execution is the executor's to report (QueryService,
+// actual batched execution is the executor's to report (FleetQueryService,
 // cnn::Cnn::BatchCostMillis).
 //
 // Supports the §5 enhancement of a dynamic Kx <= K: filtering with a smaller Kx
@@ -88,7 +88,7 @@ class QueryEngine {
   // published epoch snapshot's canonical index instead of a final one —
   // results are byte-identical to halting ingest at the snapshot's watermark
   // and finalizing. The caller must keep the snapshot alive across
-  // Plan/Resolve (hold its shared_ptr; runtime::QueryService's snapshot
+  // Plan/Resolve (hold its shared_ptr; runtime::FleetQueryService's snapshot
   // requests do).
   QueryEngine(const LiveSnapshot* snapshot, const cnn::Cnn* ingest_cnn, const cnn::Cnn* gt_cnn);
 

@@ -66,12 +66,19 @@ QueryBatch QuerySession::ExpandTo(int kx) {
       fresh.work.push_back(item);
     }
   }
-  const std::vector<common::ClassId> fresh_verdicts =
+  const common::Result<std::vector<common::ClassId>> fresh_verdicts =
       classifier_ ? classifier_(fresh) : engine_.ClassifyPlan(fresh);
+  if (!fresh_verdicts.ok()) {
+    // A failed verdict is not a fact about the centroid: record nothing, so a
+    // retried ExpandTo(kx) re-plans and re-pays the step.
+    batch.kx = current_kx_;
+    batch.error = fresh_verdicts.error();
+    return batch;
+  }
   for (size_t i = 0; i < fresh.work.size(); ++i) {
     ++batch.centroids_classified;
     batch.gpu_millis += engine_.gt_cnn().inference_cost_millis();
-    verdicts_[fresh.work[i].cluster_id] = fresh_verdicts[i] == cls_;
+    verdicts_[fresh.work[i].cluster_id] = (*fresh_verdicts)[i] == cls_;
   }
 
   // Fold the confirmed clusters' member runs, minus frames earlier batches

@@ -17,10 +17,12 @@
 #define FOCUS_SRC_CORE_QUERY_SESSION_H_
 
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "src/cnn/cnn.h"
+#include "src/common/result.h"
 #include "src/common/time_types.h"
 #include "src/core/query_engine.h"
 #include "src/index/topk_index.h"
@@ -35,6 +37,10 @@ struct QueryBatch {
   int64_t new_frames = 0;
   int64_t centroids_classified = 0;  // GT-CNN inferences paid by this batch alone.
   common::GpuMillis gpu_millis = 0.0;
+  // Set when the shared executor could not classify the step (SetClassifier):
+  // the batch is then empty and the session unchanged, so ExpandTo(kx) again
+  // retries the step.
+  std::optional<common::Error> error;
 };
 
 class QuerySession {
@@ -53,12 +59,14 @@ class QuerySession {
   // Routes this session's classification through a shared executor instead of
   // the direct engine batch: the callback receives each expansion step's fresh
   // sub-plan and must return top-1 verdicts in plan order, byte-identical to
-  // QueryEngine::ClassifyPlan. runtime::FleetQueryService::ClassifySessionPlan
+  // QueryEngine::ClassifyPlan, or an error (surfaced as QueryBatch::error;
+  // nothing of the step is recorded). runtime::FleetQueryService::ClassifySessionPlan
   // is the intended target — concurrent sessions then share a global verdict
   // cache and never re-pay a centroid any of them (or any past query) paid.
   // Per-batch gpu_millis accounting is unchanged (the execution-independent
   // per-centroid figure); the shared executor's stats show the saved cost.
-  using PlanClassifier = std::function<std::vector<common::ClassId>(const QueryPlan&)>;
+  using PlanClassifier =
+      std::function<common::Result<std::vector<common::ClassId>>(const QueryPlan&)>;
   void SetClassifier(PlanClassifier classifier) { classifier_ = std::move(classifier); }
 
   // Cumulative results across all batches so far (merged, sorted frame runs).

@@ -15,6 +15,12 @@ size_t MixHash(size_t seed, size_t value) {
   return seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
+// The typed error of a verdict whose launch stayed failed past |policy|.
+common::Error LaunchFailed(const common::RetryPolicy& policy) {
+  return common::Unavailable("GT-CNN launch failed after " +
+                             std::to_string(std::max(1, policy.max_attempts)) + " attempts");
+}
+
 }  // namespace
 
 size_t FleetQueryService::CacheKeyHash::operator()(const CacheKey& key) const {
@@ -24,8 +30,7 @@ size_t FleetQueryService::CacheKeyHash::operator()(const CacheKey& key) const {
   return h;
 }
 
-FleetQueryService::FleetQueryService(FleetQueryServiceOptions options,
-                                     MetricsRegistry* metrics)
+FleetQueryService::FleetQueryService(QueryServiceOptions options, MetricsRegistry* metrics)
     : options_(options),
       metrics_(metrics != nullptr ? metrics : &GlobalMetrics()),
       cluster_(options.num_gpus) {
@@ -218,12 +223,17 @@ std::vector<FleetQueryService::UnitOutcome> FleetQueryService::ExecuteUnitsLocke
     groups[it->second].items.push_back(f);
   }
 
-  // Phase 3 — pack each group into launches (parallelism first, then
-  // amortization up to batch_size: the query_service.h schedule), then order
-  // submission across groups by estimated launch cost, heaviest first:
-  // longest-processing-time onto the least-loaded device keeps heterogeneous
-  // GT-CNN mixes balanced. Submission order affects the schedule (latency)
-  // only — verdict values are launch-order independent.
+  // Phase 3 — pack each group into launches, then order submission across
+  // groups by estimated launch cost, heaviest first: longest-processing-time
+  // onto the least-loaded device keeps heterogeneous GT-CNN mixes balanced.
+  // Submission order affects the schedule (latency) only — verdict values are
+  // launch-order independent. Within a group the packer is parallelism first:
+  // while there is less work than idle GPUs every centroid gets its own launch
+  // (the §5 fan-out; at batch_size = 1 always). Beyond that it takes the
+  // fewest launches the batch cap allows, rounded up to whole rounds of
+  // num_gpus so the rounds stay balanced: 21 launches on 10 GPUs would leave
+  // one GPU a third round while nine idle, whereas 30 finish in three even
+  // rounds.
   struct Launch {
     size_t group = 0;
     int64_t offset = 0;
@@ -278,9 +288,11 @@ std::vector<FleetQueryService::UnitOutcome> FleetQueryService::ExecuteUnitsLocke
       seg_begin = seg_end;
     }
     const common::GpuMillis cost = group.cost_rep->BatchCostMillis(launch.count);
-    // Bounded-retry launch (docs/robustness.md), same loop as QueryService:
-    // re-submit at the then-current frontier plus exponential backoff; a
-    // timeout occupied a device for the full cost (wasted and accounted).
+    // Bounded-retry launch (docs/robustness.md): a rejected or timed-out
+    // launch is re-submitted at the cluster's then-current frontier plus the
+    // policy's exponential backoff — all virtual time, nothing sleeps. A
+    // timeout occupied a device for the full cost (wasted and accounted); a
+    // rejection never reached a device.
     const common::RetryPolicy& policy = options_.launch_retry;
     const int max_attempts = std::max(1, policy.max_attempts);
     double backoff = policy.initial_backoff_millis;
@@ -355,9 +367,7 @@ QueryExecution FleetQueryService::ResolveUnit(const Unit& unit, const UnitOutcom
   execution.submit_millis = submit;
   execution.finish_millis = outcome.finish_millis;
   if (outcome.failed) {
-    execution.error = common::Unavailable(
-        "GT-CNN launch failed after " +
-        std::to_string(std::max(1, options_.launch_retry.max_attempts)) + " attempts");
+    execution.error = LaunchFailed(options_.launch_retry);
     return execution;
   }
   execution.result = unit.stream != nullptr
@@ -482,23 +492,15 @@ FederatedExecution FleetQueryService::ExecuteFederated(const core::FederatedPlan
   const uint64_t ticket = EnqueueLocked(tenant, PendingEntry{std::nullopt, plan, nullptr});
   DrainRoundsLocked();
   auto it = completed_federated_.find(ticket);
-  if (it == completed_federated_.end()) {
-    // The drain could not admit the plan: it is oversized against
-    // |round_cost_budget_millis| and |split_oversized_plans| is disabled. The
-    // entry stays queued — observable via QueueDepths() — and the caller gets
-    // a typed error instead of an unfulfillable wait.
-    FederatedExecution execution;
-    execution.error = common::FailedPrecondition(
-        "federated plan exceeds round_cost_budget_millis and "
-        "split_oversized_plans is disabled; entry remains queued");
-    return execution;
-  }
+  // The drain runs until every queue is empty: an entry over the round budget
+  // is split, never parked.
+  FOCUS_CHECK(it != completed_federated_.end());
   FederatedExecution execution = std::move(it->second);
   completed_federated_.erase(it);
   return execution;
 }
 
-std::vector<common::ClassId> FleetQueryService::ClassifySessionPlan(
+common::Result<std::vector<common::ClassId>> FleetQueryService::ClassifySessionPlan(
     const std::string& camera, const core::FocusStream& stream, const core::QueryPlan& plan) {
   std::lock_guard<std::mutex> lock(mu_);
   Unit unit;
@@ -509,6 +511,9 @@ std::vector<common::ClassId> FleetQueryService::ClassifySessionPlan(
   common::GpuMillis submit = 0.0;
   std::vector<UnitOutcome> outcomes = ExecuteUnitsLocked({std::move(unit)}, &submit);
   metrics_->IncrementCounter("fleet.session_expansions");
+  if (outcomes[0].failed) {
+    return LaunchFailed(options_.launch_retry);
+  }
   return std::move(outcomes[0].verdicts);
 }
 
@@ -647,13 +652,6 @@ void FleetQueryService::DrainRoundsLocked() {
           if (cost <= budget) {
             break;  // Fits a fresh round's budget; resume next round.
           }
-          if (!options_.split_oversized_plans) {
-            // Oversized with splitting disabled: the entry can never be
-            // admitted. Leave it queued (observable via QueueDepths / the
-            // typed ExecuteFederated error) and end this tenant's round so
-            // the drain terminates.
-            break;
-          }
         }
         if (spent > 0.0) {
           break;  // A slice always starts on a fresh round's whole budget.
@@ -721,20 +719,9 @@ void FleetQueryService::DrainRoundsLocked() {
       work_left = work_left || !queue.empty();
     }
     if (round.empty() && slices.empty() && finishing.empty()) {
-      // Nothing admitted. Keep looping only while some non-empty tenant is
-      // still accruing fractional credit; otherwise every remaining front is
-      // un-admittable (oversized with splitting disabled) and looping would
-      // never terminate.
-      bool accruing = false;
-      for (const auto& [tenant, queue] : queues_) {
-        if (!queue.empty() && credit[tenant] < 1.0) {
-          accruing = true;
-          break;
-        }
-      }
-      if (!accruing) {
-        break;
-      }
+      // Nothing admitted: every non-empty tenant is still accruing fractional
+      // credit (a tenant holding a whole credit always admits an entry or a
+      // slice of one).
       continue;
     }
     std::vector<Unit> units;

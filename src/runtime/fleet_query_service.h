@@ -1,27 +1,37 @@
-// The persistent fleet query runtime: one long-lived service per serving
-// process, shared by every query against every camera (docs/fleet_serving.md).
+// The query-time executor: one long-lived service per serving process, shared
+// by every query against every camera (docs/fleet_serving.md).
 //
-// QueryService (query_service.h) batches the work of one admission and then
-// forgets; this service is the fleet-scale refactor of that path, adding the
-// three things a multi-tenant deployment needs:
+// At query time Focus classifies only the centroids of matching clusters with
+// the expensive GT-CNN, fanned out over idle GPUs (§5: "We parallelize a
+// query's work across many worker processes if resources are idle"). This
+// service turns the engine's GPU-millisecond cost into the latency a user
+// sees by scheduling that work on a shared virtual GpuCluster, through the
+// plan/execute pipeline of query_engine.h:
 //
+//  - Plan every request (index lookups — free, no GPU work).
 //  - A global verdict cache keyed on (camera, epoch, centroid id): a GT-CNN
 //    verdict is a pure function of the centroid object, so once any query paid
 //    for it, every later query against the same epoch gets it free — across
 //    requests, tenants, sessions, and threads. Bounded capacity with LRU
 //    eviction; entries of a superseded epoch are retired eagerly the first
 //    time a newer epoch of that camera is seen (they can only be re-requested
-//    by a pinned stale snapshot, which simply re-pays).
+//    by a pinned stale snapshot, which simply re-pays). Within one admission,
+//    duplicate (camera, centroid) items are classified once.
+//  - A cost-aware packer that pools work items across cameras AND queries:
+//    items group by cnn::ModelPackKey (never mixing models in one launch —
+//    launches run one architecture), per-camera instances of the same
+//    architecture share launches. Each group is packed parallelism first (at
+//    least one launch per idle GPU while work remains), then amortization
+//    (launches grow up to QueryServiceOptions::batch_size images, paying the
+//    per-launch overhead once: cnn::Cnn::BatchCostMillis); submission is
+//    ordered by cnn::BatchCostModel estimates (heaviest first onto the
+//    least-loaded device) so heterogeneous GT-CNNs pack by cost, not by count.
+//    batch_size = 1 is the per-centroid fan-out: one launch per fresh
+//    centroid at full single-inference cost.
 //  - Per-tenant admission queues with weighted-fair (deficit round-robin)
 //    dequeue: a burst of analyst queries drains in rounds interleaved with
 //    dashboard traffic instead of ahead of it, so no tenant's latency is a
 //    function of another tenant's backlog depth.
-//  - A cost-aware packer that pools work items across cameras AND queries:
-//    items group by cnn::ModelPackKey (never mixing models in one launch —
-//    launches run one architecture), per-camera instances of the same
-//    architecture share launches, and launch submission is ordered by
-//    cnn::BatchCostModel estimates (heaviest first onto the least-loaded
-//    device) so heterogeneous GT-CNNs pack by cost, not by count.
 //
 // Identity contract: results are byte-identical to per-camera sequential
 // execution (core::FocusFleet::ExecuteFederatedSequential) no matter how work
@@ -39,6 +49,7 @@
 #include <deque>
 #include <list>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -49,35 +60,76 @@
 #include "src/common/result.h"
 #include "src/common/retry.h"
 #include "src/core/fleet.h"
+#include "src/core/focus_stream.h"
+#include "src/core/live_snapshot.h"
 #include "src/core/query_engine.h"
 #include "src/runtime/gpu_device.h"
 #include "src/runtime/metrics.h"
-#include "src/runtime/query_service.h"
 
 namespace focus::runtime {
 
-struct FleetQueryServiceOptions {
-  int num_gpus = 10;
+// One query: against a built FocusStream, or — live query-over-ingest —
+// against a published epoch snapshot of a stream still being ingested. Exactly
+// one of |stream| / |snapshot| is set.
+struct QueryRequest {
+  const core::FocusStream* stream = nullptr;  // Must outlive the service call.
+  common::ClassId cls = common::kInvalidClass;
+  int kx = -1;                 // Dynamic Kx (§5); negative uses the indexed K.
+  common::TimeRange range{};   // Restriction to a time window.
+
+  // --- Live snapshot target (src/core/live_snapshot.h) ---
+  // The request's shared_ptr keeps the snapshot — and every index entry the
+  // plan points into — alive through execution even if the ingest worker
+  // publishes a newer epoch mid-query. |ingest_cnn| (label-space mapping) and
+  // |gt_cnn| (centroid verdicts) are required with a snapshot; |fps| is the
+  // recording rate used for time-range planning (runtime::LiveStreamContext
+  // carries all three).
+  std::shared_ptr<const core::LiveSnapshot> snapshot;
+  const cnn::Cnn* ingest_cnn = nullptr;
+  const cnn::Cnn* gt_cnn = nullptr;
+  double fps = 30.0;
+};
+
+struct QueryExecution {
+  core::QueryResult result;
+  // Virtual wall-clock times on the shared cluster.
+  common::GpuMillis submit_millis = 0.0;
+  common::GpuMillis finish_millis = 0.0;
+  // Set when a GT-CNN launch carrying this request's verdicts stayed failed
+  // past QueryServiceOptions::launch_retry: |result| is then the
+  // default-constructed empty answer and must not be served as authoritative
+  // (the server layer degrades or errors; docs/robustness.md).
+  std::optional<common::Error> error;
+
+  common::GpuMillis latency_millis() const { return finish_millis - submit_millis; }
+};
+
+struct QueryServiceOptions {
+  int num_gpus = 10;  // The paper's example cluster size.
+  // Maximum images per GT-CNN launch. 1 is the per-centroid schedule (every
+  // fresh classification its own launch at full single-inference cost);
+  // larger values amortize the launch overhead whenever there is more work
+  // than idle GPUs.
   int batch_size = 32;
   // Verdict cache capacity in entries. The cache never grows past this; LRU
   // eviction and epoch retirement keep it bounded under any query mix.
   size_t verdict_cache_capacity = 1 << 20;
+  // Retry policy for GT-CNN launches that fail or time out (injected via the
+  // "gpu.launch" / "gpu.timeout" fault sites): each retry re-submits at the
+  // cluster's then-current frontier plus the policy's exponential backoff, all
+  // in virtual time. A launch that stays failed marks every execution whose
+  // verdicts it carried with QueryExecution::error.
   common::RetryPolicy launch_retry;
   // Per-tenant, per-round admission cost budget in estimated GPU milliseconds
   // (Σ work items × the GT-CNN's batch-size-1 cost estimate). A tenant's round
   // admits entries while the budget lasts; 0 disables budgeting (admission is
-  // limited by DRR credit alone — the historical behavior).
+  // limited by DRR credit alone). A plan whose cost alone exceeds a whole
+  // round's budget is split into budget-sized slices executed across
+  // consecutive rounds — one DRR credit per slice, the entry holding its
+  // queue-front slot until the final slice, verdicts accumulated per unit and
+  // resolved against the full plan (byte-identical to unsplit execution: a
+  // verdict is a pure function of its centroid).
   double round_cost_budget_millis = 0.0;
-  // With a budget set, a plan whose cost alone exceeds a whole round's budget
-  // can never be admitted in one piece. When true, the packer splits such an
-  // oversized plan into budget-sized slices executed across consecutive
-  // rounds — one DRR credit per slice, the entry holding its queue-front slot
-  // until the final slice, verdicts accumulated per unit and resolved against
-  // the full plan (byte-identical to unsplit execution: a verdict is a pure
-  // function of its centroid). When false, the oversized entry is skipped
-  // every round and starves — observable via QueueDepths(), returned as a
-  // typed error from ExecuteFederated.
-  bool split_oversized_plans = true;
 };
 
 // One request to the fleet service. |camera| is the verdict-cache identity and
@@ -127,7 +179,7 @@ struct FederatedExecution {
 
 class FleetQueryService {
  public:
-  explicit FleetQueryService(FleetQueryServiceOptions options = {},
+  explicit FleetQueryService(QueryServiceOptions options = {},
                              MetricsRegistry* metrics = nullptr);
 
   FleetQueryService(const FleetQueryService&) = delete;
@@ -158,11 +210,11 @@ class FleetQueryService {
   // |plan|'s work items for |stream| (registered as |camera|) through the
   // shared cache, so concurrent sessions over one stream never re-pay a
   // centroid another session (or any past query) already paid. Returns top-1
-  // verdicts in plan order; items whose launch stayed failed past the retry
-  // policy read common::kInvalidClass (and are not cached).
-  std::vector<common::ClassId> ClassifySessionPlan(const std::string& camera,
-                                                   const core::FocusStream& stream,
-                                                   const core::QueryPlan& plan);
+  // verdicts in plan order, or Unavailable if a launch carrying any of them
+  // stayed failed past the retry policy (the verdicts that did land are
+  // cached, so a retry re-pays only the failed ones).
+  common::Result<std::vector<common::ClassId>> ClassifySessionPlan(
+      const std::string& camera, const core::FocusStream& stream, const core::QueryPlan& plan);
 
   // --- Admission (weighted-fair tenant queues) ---
 
@@ -200,7 +252,7 @@ class FleetQueryService {
   std::map<std::string, size_t> QueueDepths() const;
 
   FleetServiceStats stats() const;
-  const FleetQueryServiceOptions& options() const { return options_; }
+  const QueryServiceOptions& options() const { return options_; }
 
  private:
   struct CacheKey {
@@ -296,7 +348,7 @@ class FleetQueryService {
   uint64_t EnqueueLocked(const std::string& tenant, PendingEntry entry);
   void DrainRoundsLocked();
 
-  FleetQueryServiceOptions options_;
+  QueryServiceOptions options_;
   MetricsRegistry* metrics_;
 
   mutable std::mutex mu_;

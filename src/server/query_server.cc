@@ -13,15 +13,6 @@ namespace focus::server {
 
 namespace {
 
-runtime::FleetQueryServiceOptions FleetOptionsFrom(
-    const runtime::QueryServiceOptions& options) {
-  runtime::FleetQueryServiceOptions fleet_options;
-  fleet_options.num_gpus = options.num_gpus;
-  fleet_options.batch_size = options.batch_size;
-  fleet_options.launch_retry = options.launch_retry;
-  return fleet_options;
-}
-
 // --- Supervised shm serving: the server <-> worker wire -----------------
 //
 //   request:   Q <cls> <kx> <begin> <end>          (range bounds in hexfloat)
@@ -264,7 +255,7 @@ QueryServer::QueryServer(const core::FocusFleet* fleet, const video::ClassCatalo
       catalog_(catalog),
       metrics_(metrics != nullptr ? metrics : &runtime::GlobalMetrics()),
       live_(live),
-      service_(FleetOptionsFrom(service_options), metrics) {}
+      service_(service_options, metrics) {}
 
 std::string QueryServer::HandleLine(const std::string& line) {
   metrics_->IncrementCounter("server.requests");

@@ -57,7 +57,6 @@
 #include "src/runtime/fleet_query_service.h"
 #include "src/runtime/ingest_service.h"
 #include "src/runtime/metrics.h"
-#include "src/runtime/query_service.h"
 #include "src/runtime/supervised_worker_pool.h"
 #include "src/server/protocol.h"
 #include "src/shm/epoch_plane.h"
@@ -68,9 +67,9 @@ namespace focus::server {
 class QueryServer {
  public:
   // |fleet| and |catalog| must outlive the server; |metrics| may be null
-  // (global). |service_options| configures the shared service's virtual GPU
-  // cluster and batching (defaults: 10 GPUs, batch_size 32); the server builds
-  // ONE FleetQueryService from it for its whole lifetime. |live| (optional,
+  // (global). |service_options| configures the shared service (defaults: 10
+  // GPUs, batch_size 32); the server hands it to the ONE FleetQueryService it
+  // runs for its whole lifetime. |live| (optional,
   // must outlive the server) serves QUERYs on cameras whose ingest is still
   // running, from their published live snapshots; fleet cameras win on a name
   // collision (a finalized index covers the whole recording).

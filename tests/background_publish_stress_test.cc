@@ -1,7 +1,8 @@
 // Concurrency stress for background snapshot publication (TSan-gated:
 // tools/check_all.sh runs this under FOCUS_SANITIZE=thread): reader threads
-// hammer SnapshotSlot::Latest() and execute queries against whatever epoch
-// they catch while a persistent sharded ingest advances underneath with
+// hammer SnapshotSlot::Latest() and execute queries through one shared query
+// service against whatever epoch they catch while a persistent sharded ingest
+// advances underneath with
 //   - the snapshot builder assembling and publishing on its own thread,
 //   - incremental boundary merges at every cadence boundary,
 //   - parallel per-shard checkpoint persistence racing the builder flushes.
@@ -25,7 +26,7 @@
 #include "src/cnn/model_zoo.h"
 #include "src/core/ingest_pipeline.h"
 #include "src/core/live_snapshot.h"
-#include "src/runtime/query_service.h"
+#include "src/runtime/fleet_query_service.h"
 #include "src/video/stream_generator.h"
 
 namespace focus::runtime {
@@ -82,11 +83,15 @@ TEST(BackgroundPublishStressTest, ReadersRaceBackgroundBuildsAndCheckpoints) {
   // Per thread: epoch -> result fingerprint, merged and cross-checked after.
   std::vector<std::map<uint64_t, std::string>> seen(kQueryThreads);
 
+  // One executor shared by every reader, as the server runs it: readers on
+  // the same epoch race the verdict cache's lock-free fully-cached path, and
+  // the first reader of a newer epoch retires the older epochs' verdicts
+  // underneath the others.
+  FleetQueryService query_service({.num_gpus = 4, .batch_size = 8});
   std::vector<std::thread> readers;
   readers.reserve(kQueryThreads);
   for (int t = 0; t < kQueryThreads; ++t) {
     readers.emplace_back([&, t] {
-      QueryService query_service({.num_gpus = 4, .batch_size = 8});
       uint64_t last_epoch = 0;
       bool final_pass = false;
       while (true) {
@@ -109,12 +114,13 @@ TEST(BackgroundPublishStressTest, ReadersRaceBackgroundBuildsAndCheckpoints) {
           }
           // The queried class is a pure function of the epoch, so every
           // thread that lands on epoch e runs the identical query.
-          QueryRequest request;
-          request.cls = classes[static_cast<size_t>(snap->epoch) % classes.size()];
-          request.snapshot = snap;
-          request.ingest_cnn = &cheap;
-          request.gt_cnn = &gt;
-          request.fps = run.fps();
+          FleetQueryRequest request;
+          request.camera = "live";
+          request.query.cls = classes[static_cast<size_t>(snap->epoch) % classes.size()];
+          request.query.snapshot = snap;
+          request.query.ingest_cnn = &cheap;
+          request.query.gt_cnn = &gt;
+          request.query.fps = run.fps();
           const QueryExecution execution = query_service.Execute(request);
           const std::string fingerprint = Fingerprint(execution.result);
           auto [it, inserted] =
@@ -141,6 +147,9 @@ TEST(BackgroundPublishStressTest, ReadersRaceBackgroundBuildsAndCheckpoints) {
     reader.join();
   }
   EXPECT_EQ(failures.load(), 0);
+  // Every reader queries the final epoch twice, so the shared cache served
+  // at least the repeats.
+  EXPECT_GT(query_service.stats().cache_hits, 0);
   EXPECT_GT(result.index.num_clusters(), 0u);
 
   // Builder stall accounting never goes negative, and the final epoch is the

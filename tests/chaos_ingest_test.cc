@@ -1,6 +1,7 @@
 // Chaos suite (docs/robustness.md): deterministic fault injection through the
 // persistent ingest path, worker supervision in IngestService, degraded-mode
-// serving through the query server, and GT-CNN launch retry in QueryService.
+// serving through the query server, and GT-CNN launch retry in the query
+// service.
 //
 // The core property under test: for any injected fault plan, ingest either
 // converges to the byte-identical no-fault result (after in-place retries or
@@ -22,8 +23,8 @@
 #include "src/common/result.h"
 #include "src/core/focus_stream.h"
 #include "src/core/ingest_pipeline.h"
+#include "src/runtime/fleet_query_service.h"
 #include "src/runtime/ingest_service.h"
-#include "src/runtime/query_service.h"
 #include "src/server/query_server.h"
 #include "src/storage/serializer.h"
 #include "src/storage/snapshot_store.h"
@@ -527,7 +528,7 @@ TEST_F(ChaosIngestTest, ServerServesStaleSnapshotsAndHealthForDownStreams) {
   EXPECT_EQ(server.HandleLine("HEALTH nowhere").rfind("ERR NotFound", 0), 0u);
 }
 
-// --- QueryService GT-CNN launch retry ---
+// --- FleetQueryService GT-CNN launch retry ---
 
 TEST_F(ChaosIngestTest, GpuLaunchFaultsRetryOrSurfaceTypedError) {
   video::ClassCatalog catalog(21);
@@ -542,15 +543,16 @@ TEST_F(ChaosIngestTest, GpuLaunchFaultsRetryOrSurfaceTypedError) {
   cnn::SegmentGroundTruth truth(run, focus.gt_cnn());
   const std::vector<common::ClassId> dominant = truth.DominantClasses(0.95, 1);
   ASSERT_FALSE(dominant.empty());
-  runtime::QueryRequest request;
-  request.stream = &focus;
-  request.cls = dominant[0];
+  runtime::FleetQueryRequest request;
+  request.camera = "auburn_c";
+  request.query.stream = &focus;
+  request.query.cls = dominant[0];
 
   const runtime::QueryServiceOptions qopts{.num_gpus = 2, .batch_size = 8};
-  runtime::QueryService reference_service(qopts);
+  runtime::FleetQueryService reference_service(qopts);
   const runtime::QueryExecution reference = reference_service.Execute(request);
   ASSERT_FALSE(reference.error.has_value());
-  ASSERT_GT(reference_service.last_stats().launches, 0);
+  ASSERT_GT(reference_service.stats().launches, 0);
 
   {
     // One failed launch: the retry policy re-submits and the answer is
@@ -558,24 +560,24 @@ TEST_F(ChaosIngestTest, GpuLaunchFaultsRetryOrSurfaceTypedError) {
     common::FaultPlan plan;
     plan.FireOnHit("gpu.launch", 1);
     common::ScopedFaultPlan armed(&plan);
-    runtime::QueryService service(qopts);
+    runtime::FleetQueryService service(qopts);
     const runtime::QueryExecution execution = service.Execute(request);
     EXPECT_FALSE(execution.error.has_value());
     EXPECT_EQ(execution.result.frame_runs, reference.result.frame_runs);
     EXPECT_EQ(execution.result.frames_returned, reference.result.frames_returned);
-    EXPECT_GE(service.last_stats().launch_retries, 1);
-    EXPECT_EQ(service.last_stats().launches_failed, 0);
+    EXPECT_GE(service.stats().launch_retries, 1);
+    EXPECT_EQ(service.stats().launches_failed, 0);
   }
   {
     // A timeout burns the launch's full device cost, then the retry recovers.
     common::FaultPlan plan;
     plan.FireOnHit("gpu.timeout", 1);
     common::ScopedFaultPlan armed(&plan);
-    runtime::QueryService service(qopts);
+    runtime::FleetQueryService service(qopts);
     const runtime::QueryExecution execution = service.Execute(request);
     EXPECT_FALSE(execution.error.has_value());
     EXPECT_EQ(execution.result.frame_runs, reference.result.frame_runs);
-    EXPECT_GT(service.last_stats().wasted_gpu_millis, 0.0);
+    EXPECT_GT(service.stats().wasted_gpu_millis, 0.0);
   }
   {
     // A wedged GPU exhausts the retry budget: the execution carries a typed
@@ -583,12 +585,12 @@ TEST_F(ChaosIngestTest, GpuLaunchFaultsRetryOrSurfaceTypedError) {
     common::FaultPlan plan;
     plan.FireAlwaysFrom("gpu.launch", 1);
     common::ScopedFaultPlan armed(&plan);
-    runtime::QueryService service(qopts);
+    runtime::FleetQueryService service(qopts);
     const runtime::QueryExecution execution = service.Execute(request);
     ASSERT_TRUE(execution.error.has_value());
     EXPECT_EQ(execution.error->code, common::ErrorCode::kUnavailable);
     EXPECT_EQ(execution.result.frames_returned, 0);
-    EXPECT_GE(service.last_stats().launches_failed, 1);
+    EXPECT_GE(service.stats().launches_failed, 1);
   }
 }
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/cnn/ground_truth.h"
+#include "src/common/fault_injection.h"
 #include "src/core/fleet.h"
 #include "src/core/query_session.h"
 #include "src/runtime/fleet_query_service.h"
@@ -301,7 +302,7 @@ TEST_F(FleetQueryServiceTest, ConcurrentSessionsShareVerdictsAcrossTheService) {
 
   // batch_size 1: every fresh centroid is exactly one launch of one inference,
   // so service gpu time counts paid centroids with no amortization noise.
-  FleetQueryServiceOptions options;
+  QueryServiceOptions options;
   options.batch_size = 1;
   FleetQueryService service(options);
 
@@ -349,6 +350,61 @@ TEST_F(FleetQueryServiceTest, ConcurrentSessionsShareVerdictsAcrossTheService) {
                    static_cast<double>(unique) * stream->gt_cnn().inference_cost_millis());
 }
 
+// Regression: a session step whose GT-CNN launch stayed failed used to store
+// its centroids as permanent "no match" verdicts and advance Kx, so later
+// expansions silently lost those clusters' frames. The failed step now
+// surfaces a typed error and records nothing; expanding again re-pays it and
+// converges to the unfaulted session.
+TEST_F(FleetQueryServiceTest, FailedSessionLaunchIsRetriedNotCachedAsNoMatch) {
+  // The first camera whose Kx = 1 step already matches frames, so losing that
+  // step's verdicts would lose frames.
+  std::string camera;
+  const core::FocusStream* stream = nullptr;
+  for (int i = 0; i < kNumCameras && stream == nullptr; ++i) {
+    const core::FocusStream* candidate = fleet_->Find(CameraName(i));
+    if (candidate->chosen_params().k >= 2 &&
+        core::QuerySession(&candidate->ingest().index, &candidate->ingest_cnn(),
+                           &candidate->gt_cnn(), dominant_class_)
+                .ExpandTo(1)
+                .new_frames > 0) {
+      camera = CameraName(i);
+      stream = candidate;
+    }
+  }
+  ASSERT_NE(stream, nullptr);
+  const int full_k = stream->chosen_params().k;
+
+  core::QuerySession reference(&stream->ingest().index, &stream->ingest_cnn(),
+                               &stream->gt_cnn(), dominant_class_);
+  reference.ExpandTo(1);
+  reference.ExpandTo(full_k);
+
+  FleetQueryService service;
+  core::QuerySession session(&stream->ingest().index, &stream->ingest_cnn(),
+                             &stream->gt_cnn(), dominant_class_);
+  session.SetClassifier([&service, &camera, stream](const core::QueryPlan& plan) {
+    return service.ClassifySessionPlan(camera, *stream, plan);
+  });
+  {
+    common::FaultPlan wedged;
+    wedged.FireAlwaysFrom("gpu.launch", 1);
+    common::ScopedFaultPlan armed(&wedged);
+    const core::QueryBatch failed = session.ExpandTo(1);
+    ASSERT_TRUE(failed.error.has_value());
+    EXPECT_EQ(failed.error->code, common::ErrorCode::kUnavailable);
+    EXPECT_EQ(failed.new_frames, 0);
+    EXPECT_EQ(session.current_kx(), 0);
+  }
+  EXPECT_GE(service.stats().launches_failed, 1);
+
+  const core::QueryBatch recovered = session.ExpandTo(full_k);
+  ASSERT_FALSE(recovered.error.has_value());
+  EXPECT_EQ(session.current_kx(), full_k);
+  EXPECT_EQ(session.frame_runs(), reference.frame_runs());
+  EXPECT_EQ(session.total_frames(), reference.total_frames());
+  EXPECT_EQ(session.total_centroids_classified(), reference.total_centroids_classified());
+}
+
 // The verdict cache never grows past its configured capacity, and a cache too
 // small for the working set only costs re-paid classifications — results stay
 // byte-identical.
@@ -360,7 +416,7 @@ TEST_F(FleetQueryServiceTest, TinyCacheStaysBoundedAndCorrect) {
   ASSERT_GT(plan->TotalWorkItems(), 8);
   const core::FleetQueryResult sequential = fleet_->ExecuteFederatedSequential(*plan);
 
-  FleetQueryServiceOptions options;
+  QueryServiceOptions options;
   options.verdict_cache_capacity = 8;
   FleetQueryService service(options);
   for (int pass = 0; pass < 3; ++pass) {
@@ -392,7 +448,7 @@ TEST_F(FleetQueryServiceTest, FederatedDrainsThroughTenantQueuesFairly) {
 
   // One GPU: the virtual frontier advances with every round's fresh work, so
   // admission rounds are visible as strictly increasing submit times.
-  FleetQueryServiceOptions options;
+  QueryServiceOptions options;
   options.num_gpus = 1;
   FleetQueryService service(options);
 
@@ -507,58 +563,8 @@ TEST_F(FleetQueryServiceTest, StripedCacheAnswersConcurrentWarmTrafficIdenticall
   EXPECT_LE(after.cache_size, service.options().verdict_cache_capacity);
 }
 
-// Regression: all-or-nothing admission starves oversized plans. With a
-// per-round cost budget and splitting disabled (the pre-fix packer), an entry
-// whose estimated cost alone exceeds a whole round's budget is skipped every
-// round: other tenants keep flowing, the oversized tenant's queue depth never
-// drops, and a direct ExecuteFederated surfaces a typed error instead of
-// blocking on a completion that can never arrive.
-TEST_F(FleetQueryServiceTest, OversizedPlanStarvesWhenSplittingDisabled) {
-  auto plan = fleet_->PlanFederated(dominant_class_);
-  ASSERT_TRUE(plan.ok());
-  const core::FocusStream* small_stream = fleet_->Find(CameraName(5));
-  ASSERT_NE(small_stream, nullptr);
-  const size_t small_items = small_stream->Plan(dominant_class_).work.size();
-  ASSERT_GT(small_items, 0u);
-  ASSERT_GT(plan->TotalWorkItems(), static_cast<int64_t>(2 * small_items));
-  const double per_item = small_stream->gt_cnn().batch_cost_model().EstimateMillis(1);
-
-  FleetQueryServiceOptions options;
-  options.round_cost_budget_millis = static_cast<double>(small_items) * per_item;
-  options.split_oversized_plans = false;  // The pre-fix all-or-nothing packer.
-  FleetQueryService service(options);
-
-  const uint64_t fed = service.EnqueueFederated(*plan, "a");
-  FleetQueryRequest small;
-  small.camera = CameraName(5);
-  small.tenant = "b";
-  small.query.stream = small_stream;
-  small.query.cls = dominant_class_;
-  const uint64_t small_ticket = service.Enqueue(small);
-
-  // The drain terminates, completes the small tenant, and leaves the
-  // oversized entry parked at its queue front.
-  const auto drained = service.DrainAdmitted();
-  ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(drained[0].first, small_ticket);
-  ASSERT_FALSE(drained[0].second.error.has_value());
-  ExpectSameQueryResult(drained[0].second.result, small_stream->Query(dominant_class_));
-  EXPECT_FALSE(service.TakeFederated(fed).has_value());
-  const auto depths = service.QueueDepths();
-  ASSERT_EQ(depths.count("a"), 1u);
-  EXPECT_EQ(depths.at("a"), 1u);
-  EXPECT_EQ(service.stats().plans_split, 0);
-
-  // Direct execution of an un-admittable plan: typed error, entry observable
-  // in the queue, no crash.
-  FleetQueryService direct(options);
-  const FederatedExecution exec = direct.ExecuteFederated(*plan);
-  ASSERT_TRUE(exec.error.has_value());
-  EXPECT_EQ(exec.error->code, common::ErrorCode::kFailedPrecondition);
-  EXPECT_EQ(direct.QueueDepths().count("default"), 1u);
-}
-
-// The fix: the packer splits an oversized plan into budget-sized slices
+// Regression: all-or-nothing admission starved oversized plans. The packer
+// splits an oversized plan into budget-sized slices
 // executed across consecutive rounds — the entry completes, other tenants
 // still interleave, and the merged result is byte-identical to the sequential
 // oracle (verdicts are pure per-centroid, so slicing cannot change them).
@@ -573,9 +579,8 @@ TEST_F(FleetQueryServiceTest, OversizedPlanSplitsAcrossRoundsByteIdentically) {
   const double per_item = small_stream->gt_cnn().batch_cost_model().EstimateMillis(1);
   const core::FleetQueryResult sequential = fleet_->ExecuteFederatedSequential(*plan);
 
-  FleetQueryServiceOptions options;
+  QueryServiceOptions options;
   options.round_cost_budget_millis = static_cast<double>(small_items) * per_item;
-  ASSERT_TRUE(options.split_oversized_plans);  // The default.
   MetricsRegistry metrics;
   FleetQueryService service(options, &metrics);
 
@@ -617,7 +622,7 @@ TEST_F(FleetQueryServiceTest, OversizedPlanSplitsAcrossRoundsByteIdentically) {
   ASSERT_NE(wide_stream, nullptr);
   const size_t wide_items = wide_stream->Plan(dominant_class_).work.size();
   if (wide_items > 1) {
-    FleetQueryServiceOptions tight = options;
+    QueryServiceOptions tight = options;
     tight.round_cost_budget_millis =
         wide_stream->gt_cnn().batch_cost_model().EstimateMillis(1) * 1.5;
     FleetQueryService single(tight);

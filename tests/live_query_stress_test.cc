@@ -1,7 +1,8 @@
-// Concurrency stress for live query-over-ingest (TSan-gated: the FOCUS_SANITIZE
-// =thread build runs this as `ctest -R live_query_stress`): concurrent QUERY
-// traffic executes against published snapshots while sharded ingest is still
-// advancing the same streams. Asserts the RCU publication contract —
+// Concurrency stress for live query-over-ingest (TSan-gated: tools/check_all.sh
+// runs the `stress` label under FOCUS_SANITIZE=thread): concurrent QUERY
+// traffic executes through one shared query service against published
+// snapshots while sharded ingest is still advancing the same streams. Asserts
+// the RCU publication contract —
 //   - epochs observed by any reader are monotone non-decreasing;
 //   - no torn reads: every observed snapshot is internally consistent
 //     (watermark on the cadence, entry accounting closed, index counters
@@ -21,8 +22,8 @@
 #include "src/cnn/model_zoo.h"
 #include "src/core/ingest_pipeline.h"
 #include "src/core/live_snapshot.h"
+#include "src/runtime/fleet_query_service.h"
 #include "src/runtime/ingest_service.h"
-#include "src/runtime/query_service.h"
 #include "src/video/stream_generator.h"
 
 namespace focus::runtime {
@@ -75,11 +76,15 @@ TEST(LiveQueryStressTest, ConcurrentQueriesOverAdvancingIngest) {
   // Per thread: epoch -> result fingerprint, merged and cross-checked after.
   std::vector<std::map<uint64_t, std::string>> seen(kQueryThreads);
 
+  // One executor shared by every reader, as the server runs it: readers on
+  // the same epoch race the verdict cache's lock-free fully-cached path, and
+  // the first reader of a newer epoch retires the older epochs' verdicts
+  // underneath the others.
+  FleetQueryService query_service({.num_gpus = 4, .batch_size = 8});
   std::vector<std::thread> readers;
   readers.reserve(kQueryThreads);
   for (int t = 0; t < kQueryThreads; ++t) {
     readers.emplace_back([&, t] {
-      QueryService query_service({.num_gpus = 4, .batch_size = 8});
       uint64_t last_epoch = 0;
       bool final_pass = false;
       while (true) {
@@ -103,12 +108,13 @@ TEST(LiveQueryStressTest, ConcurrentQueriesOverAdvancingIngest) {
           }
           // The queried class is a pure function of the epoch, so every
           // thread that lands on epoch e runs the identical query.
-          QueryRequest request;
-          request.cls = classes[static_cast<size_t>(snap->epoch) % classes.size()];
-          request.snapshot = snap;
-          request.ingest_cnn = context->ingest_cnn.get();
-          request.gt_cnn = context->gt_cnn.get();
-          request.fps = context->fps;
+          FleetQueryRequest request;
+          request.camera = "live";
+          request.query.cls = classes[static_cast<size_t>(snap->epoch) % classes.size()];
+          request.query.snapshot = snap;
+          request.query.ingest_cnn = context->ingest_cnn.get();
+          request.query.gt_cnn = context->gt_cnn.get();
+          request.query.fps = context->fps;
           const QueryExecution execution = query_service.Execute(request);
           const std::string fingerprint = Fingerprint(execution.result);
           auto [it, inserted] = seen[static_cast<size_t>(t)].try_emplace(snap->epoch,
@@ -135,6 +141,9 @@ TEST(LiveQueryStressTest, ConcurrentQueriesOverAdvancingIngest) {
     reader.join();
   }
   EXPECT_EQ(failures.load(), 0);
+  // Every reader queries the final epoch twice, so the shared cache served
+  // at least the repeats.
+  EXPECT_GT(query_service.stats().cache_hits, 0);
 
   // Every reader saw at least the final epoch; cross-thread per-epoch results
   // must be byte-identical.

@@ -23,8 +23,8 @@
 #include "src/core/ingest_pipeline.h"
 #include "src/core/live_snapshot.h"
 #include "src/core/query_engine.h"
+#include "src/runtime/fleet_query_service.h"
 #include "src/runtime/ingest_service.h"
-#include "src/runtime/query_service.h"
 #include "src/server/query_server.h"
 #include "src/video/stream_generator.h"
 
@@ -422,7 +422,7 @@ TEST(LiveSnapshotTest, DeltaBuildReusesUnchangedEntries) {
 // Cross-query verdict sharing extends to snapshots: two concurrent requests
 // against the same epoch classify each shared centroid once, and results are
 // identical to the one-query execution.
-TEST(LiveSnapshotTest, QueryServiceDedupsSnapshotRequests) {
+TEST(LiveSnapshotTest, FleetServiceDedupsSnapshotRequests) {
   video::ClassCatalog catalog(41);
   video::StreamProfile profile;
   ASSERT_TRUE(video::FindProfile("auburn_c", &profile));
@@ -441,18 +441,19 @@ TEST(LiveSnapshotTest, QueryServiceDedupsSnapshotRequests) {
   ASSERT_NE(latest, nullptr);
 
   const common::ClassId cls = run.present_classes().front();
-  runtime::QueryRequest request;
-  request.cls = cls;
-  request.snapshot = latest;
-  request.ingest_cnn = &cheap;
-  request.gt_cnn = &gt;
-  request.fps = run.fps();
+  runtime::FleetQueryRequest request;
+  request.camera = "auburn_c";
+  request.query.cls = cls;
+  request.query.snapshot = latest;
+  request.query.ingest_cnn = &cheap;
+  request.query.gt_cnn = &gt;
+  request.query.fps = run.fps();
 
-  runtime::QueryService service({.num_gpus = 4, .batch_size = 8});
+  runtime::FleetQueryService service({.num_gpus = 4, .batch_size = 8});
   const auto executions = service.ExecuteConcurrently({request, request});
-  const runtime::QueryBatchStats stats = service.last_stats();
-  EXPECT_EQ(stats.work_items, 2 * stats.unique_items);
-  EXPECT_EQ(stats.dedup_hits, stats.unique_items);
+  const runtime::FleetServiceStats stats = service.stats();
+  EXPECT_EQ(stats.work_items, 2 * stats.cache_misses);
+  EXPECT_EQ(stats.dedup_hits, stats.cache_misses);
   ASSERT_EQ(executions.size(), 2u);
   EXPECT_EQ(executions[0].result.frame_runs, executions[1].result.frame_runs);
 

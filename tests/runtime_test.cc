@@ -10,10 +10,10 @@
 
 #include "src/cnn/model_zoo.h"
 #include "src/core/focus_stream.h"
+#include "src/runtime/fleet_query_service.h"
 #include "src/runtime/gpu_device.h"
 #include "src/runtime/ingest_service.h"
 #include "src/runtime/metrics.h"
-#include "src/runtime/query_service.h"
 #include "src/runtime/task_queue.h"
 #include "src/runtime/worker_pool.h"
 
@@ -381,7 +381,7 @@ TEST(MetricsTest, RenderListsAllMetrics) {
   EXPECT_NE(rendered.find("load=0.5"), std::string::npos);
 }
 
-// --- IngestService / QueryService over a real (small) stream ---
+// --- IngestService / FleetQueryService over a real (small) stream ---
 
 class RuntimeServiceTest : public ::testing::Test {
  protected:
@@ -505,7 +505,7 @@ TEST_F(RuntimeServiceTest, OccupancyAnswersRealtimeProvisioning) {
               summary.reports[0].gpu_occupancy * 250.0, 1e-9);
 }
 
-TEST_F(RuntimeServiceTest, QueryServiceLatencyDropsWithMoreGpus) {
+TEST_F(RuntimeServiceTest, QueryLatencyDropsWithMoreGpus) {
   core::FocusOptions focus_options;
   auto focus_or = core::FocusStream::Build(run_, catalog_, focus_options);
   ASSERT_TRUE(focus_or.ok()) << focus_or.error().message;
@@ -515,16 +515,17 @@ TEST_F(RuntimeServiceTest, QueryServiceLatencyDropsWithMoreGpus) {
   std::vector<common::ClassId> dominant = truth.DominantClasses(0.95, 3);
   ASSERT_FALSE(dominant.empty());
 
-  QueryRequest request;
-  request.stream = &focus;
-  request.cls = dominant[0];
+  FleetQueryRequest request;
+  request.camera = "auburn_c";
+  request.query.stream = &focus;
+  request.query.cls = dominant[0];
 
   // batch_size = 1 pins the per-centroid fan-out (one launch per centroid at
   // full single-inference cost), so the speedup from adding GPUs is pure
   // parallelism — the seed service's contract. Batched launches trade some of
   // that scaling for launch amortization; see the batching tests below.
-  QueryService one_gpu(QueryServiceOptions{.num_gpus = 1, .batch_size = 1});
-  QueryService ten_gpus(QueryServiceOptions{.num_gpus = 10, .batch_size = 1});
+  FleetQueryService one_gpu(QueryServiceOptions{.num_gpus = 1, .batch_size = 1});
+  FleetQueryService ten_gpus(QueryServiceOptions{.num_gpus = 10, .batch_size = 1});
   QueryExecution on_one = one_gpu.Execute(request);
   QueryExecution on_ten = ten_gpus.Execute(request);
   EXPECT_EQ(on_one.result.centroids_classified, on_ten.result.centroids_classified);
@@ -545,26 +546,27 @@ TEST_F(RuntimeServiceTest, ConcurrentQueriesShareTheCluster) {
   std::vector<common::ClassId> dominant = truth.DominantClasses(0.95, 4);
   ASSERT_GE(dominant.size(), 2u);
 
-  std::vector<QueryRequest> batch;
+  std::vector<FleetQueryRequest> batch;
   for (common::ClassId cls : dominant) {
-    batch.push_back(QueryRequest{.stream = &focus, .cls = cls});
+    batch.push_back(FleetQueryRequest{"auburn_c", "default", {.stream = &focus, .cls = cls}});
   }
-  QueryService service(QueryServiceOptions{.num_gpus = 4});
+  FleetQueryService service(QueryServiceOptions{.num_gpus = 4});
   std::vector<QueryExecution> executions = service.ExecuteConcurrently(batch);
   ASSERT_EQ(executions.size(), batch.size());
   // All requests were admitted at the same instant and share the cluster. The
   // time actually charged to the cluster is the launch-amortized batched cost
-  // (last_stats), never more than the logical per-centroid sum — batching and
+  // (stats), never more than the logical per-centroid sum — batching and
   // cross-query dedup only remove work.
   common::GpuMillis total_work = 0;
   for (const QueryExecution& e : executions) {
+    EXPECT_EQ(e.submit_millis, 0.0);
     total_work += e.result.gpu_millis;
   }
-  const QueryBatchStats& stats = service.last_stats();
+  const FleetServiceStats stats = service.stats();
   EXPECT_EQ(stats.requests, static_cast<int64_t>(batch.size()));
-  EXPECT_EQ(stats.unique_items + stats.dedup_hits, stats.work_items);
-  EXPECT_NEAR(service.cluster().Stats().total_busy_millis, stats.gpu_millis, 1e-6);
-  EXPECT_LE(service.cluster().Stats().total_busy_millis, total_work + 1e-6);
+  EXPECT_EQ(stats.cache_misses + stats.dedup_hits, stats.work_items);
+  EXPECT_GT(stats.gpu_millis, 0.0);
+  EXPECT_LE(stats.gpu_millis, total_work + 1e-6);
 }
 
 TEST_F(RuntimeServiceTest, BatchedExecutionIsResultIdenticalToPerCentroid) {
@@ -577,14 +579,14 @@ TEST_F(RuntimeServiceTest, BatchedExecutionIsResultIdenticalToPerCentroid) {
   std::vector<common::ClassId> dominant = truth.DominantClasses(0.95, 4);
   ASSERT_FALSE(dominant.empty());
 
-  std::vector<QueryRequest> batch;
+  std::vector<FleetQueryRequest> batch;
   for (common::ClassId cls : dominant) {
-    batch.push_back(QueryRequest{.stream = &focus, .cls = cls});
+    batch.push_back(FleetQueryRequest{"auburn_c", "default", {.stream = &focus, .cls = cls}});
   }
   // The direct engine query is the per-centroid reference; every batch_size must
   // reproduce it bit for bit (including the execution-independent gpu_millis).
   for (int batch_size : {1, 4, 32}) {
-    QueryService service(QueryServiceOptions{.num_gpus = 3, .batch_size = batch_size});
+    FleetQueryService service(QueryServiceOptions{.num_gpus = 3, .batch_size = batch_size});
     std::vector<QueryExecution> executions = service.ExecuteConcurrently(batch);
     ASSERT_EQ(executions.size(), batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -613,14 +615,15 @@ TEST_F(RuntimeServiceTest, DuplicateConcurrentQueriesClassifyEachCentroidOnce) {
   // Three analysts ask the identical question at once: the shared (stream,
   // centroid) classifications run once and all three resolve from the shared
   // verdict table, with identical results.
-  std::vector<QueryRequest> batch(3, QueryRequest{.stream = &focus, .cls = dominant[0]});
-  QueryService service(QueryServiceOptions{.num_gpus = 4});
+  std::vector<FleetQueryRequest> batch(
+      3, FleetQueryRequest{"auburn_c", "default", {.stream = &focus, .cls = dominant[0]}});
+  FleetQueryService service(QueryServiceOptions{.num_gpus = 4});
   std::vector<QueryExecution> executions = service.ExecuteConcurrently(batch);
   ASSERT_EQ(executions.size(), batch.size());
 
-  const QueryBatchStats& stats = service.last_stats();
+  const FleetServiceStats stats = service.stats();
   EXPECT_EQ(stats.work_items, 3 * direct.centroids_classified);
-  EXPECT_EQ(stats.unique_items, direct.centroids_classified);
+  EXPECT_EQ(stats.cache_misses, direct.centroids_classified);
   EXPECT_EQ(stats.dedup_hits, 2 * direct.centroids_classified);
   for (const QueryExecution& e : executions) {
     EXPECT_EQ(e.result.frame_runs, direct.frame_runs);
@@ -628,7 +631,6 @@ TEST_F(RuntimeServiceTest, DuplicateConcurrentQueriesClassifyEachCentroidOnce) {
     EXPECT_DOUBLE_EQ(e.result.gpu_millis, direct.gpu_millis);
   }
   // The cluster was charged for one query's worth of (batched) work, not three.
-  EXPECT_NEAR(service.cluster().Stats().total_busy_millis, stats.gpu_millis, 1e-6);
   EXPECT_LT(stats.gpu_millis, 3 * direct.gpu_millis);
 }
 
@@ -642,13 +644,13 @@ TEST_F(RuntimeServiceTest, BatchingReducesGpuTimeWithoutChangingResults) {
   std::vector<common::ClassId> dominant = truth.DominantClasses(0.95, 4);
   ASSERT_FALSE(dominant.empty());
 
-  std::vector<QueryRequest> batch;
+  std::vector<FleetQueryRequest> batch;
   for (common::ClassId cls : dominant) {
-    batch.push_back(QueryRequest{.stream = &focus, .cls = cls});
+    batch.push_back(FleetQueryRequest{"auburn_c", "default", {.stream = &focus, .cls = cls}});
   }
 
-  QueryService unbatched(QueryServiceOptions{.num_gpus = 2, .batch_size = 1});
-  QueryService batched(QueryServiceOptions{.num_gpus = 2, .batch_size = 32});
+  FleetQueryService unbatched(QueryServiceOptions{.num_gpus = 2, .batch_size = 1});
+  FleetQueryService batched(QueryServiceOptions{.num_gpus = 2, .batch_size = 32});
   std::vector<QueryExecution> a = unbatched.ExecuteConcurrently(batch);
   std::vector<QueryExecution> b = batched.ExecuteConcurrently(batch);
   ASSERT_EQ(a.size(), b.size());
@@ -657,11 +659,10 @@ TEST_F(RuntimeServiceTest, BatchingReducesGpuTimeWithoutChangingResults) {
   }
   // Same unique work either way; batching packs it into fewer launches whose
   // amortized cost is strictly lower once launches carry more than one image.
-  EXPECT_EQ(unbatched.last_stats().unique_items, batched.last_stats().unique_items);
-  if (batched.last_stats().unique_items > 2) {
-    EXPECT_LT(batched.last_stats().launches, unbatched.last_stats().launches);
-    EXPECT_LT(batched.cluster().Stats().total_busy_millis,
-              unbatched.cluster().Stats().total_busy_millis);
+  EXPECT_EQ(unbatched.stats().cache_misses, batched.stats().cache_misses);
+  if (batched.stats().cache_misses > 2) {
+    EXPECT_LT(batched.stats().launches, unbatched.stats().launches);
+    EXPECT_LT(batched.stats().gpu_millis, unbatched.stats().gpu_millis);
     common::GpuMillis max_a = 0.0;
     common::GpuMillis max_b = 0.0;
     for (size_t i = 0; i < a.size(); ++i) {

@@ -15,11 +15,17 @@
 #                      kill/hang/torn-frame storms) in a FOCUS_SANITIZE=address
 #                      build, so every injected failure path and every
 #                      mapped-memory path also runs leak- and overflow-checked.
-#   3. tsan gate     - the background-publication stress test
-#                      (readers on SnapshotSlot::Latest() + queries racing
+#   3. tsan gate     - `ctest -L stress` (worker pool, live query over
+#                      advancing ingest, background publication: readers on
+#                      SnapshotSlot::Latest() sharing one query service while
 #                      builder-thread publishes and parallel checkpoint
-#                      persistence) in a FOCUS_SANITIZE=thread build, so the
-#                      background snapshot builder's handoffs run race-checked.
+#                      persistence race them) plus fleet_zipf_live_test (live
+#                      fleet serving) in a FOCUS_SANITIZE=thread build, so
+#                      snapshot handoffs, the verdict cache's lock-free cached
+#                      path and epoch retirement run race-checked. The rest of
+#                      `-L fleet`, fleet_query_service_test, stays out: its
+#                      32-camera fixture had not finished after 14 minutes
+#                      under TSan (87 s in Release); it runs in gate 1.
 #   4. bench gate    - `bench/run_benches.sh --check`: the tracked perf
 #                      guardrails, including bench_chaos's no-fault overhead
 #                      of the robustness machinery and bench_live_query's
@@ -66,11 +72,14 @@ fi
 if [ "${FOCUS_SKIP_TSAN:-0}" = "1" ]; then
   echo "== gate 3/4: SKIPPED (FOCUS_SKIP_TSAN=1) =="
 else
-  echo "== gate 3/4: background publication stress under ThreadSanitizer =="
+  echo "== gate 3/4: stress suites + live fleet serving under ThreadSanitizer =="
   cmake -S "$REPO_DIR" -B "$TSAN_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DFOCUS_SANITIZE=thread
-  cmake --build "$TSAN_DIR" -j"$JOBS" --target background_publish_stress_test
-  ctest --test-dir "$TSAN_DIR" -R background_publish_stress --output-on-failure
+  cmake --build "$TSAN_DIR" -j"$JOBS" \
+    --target worker_pool_stress_test live_query_stress_test \
+    background_publish_stress_test fleet_zipf_live_test
+  ctest --test-dir "$TSAN_DIR" -L stress --output-on-failure
+  ctest --test-dir "$TSAN_DIR" -R '^fleet_zipf_live_test$' --output-on-failure
 fi
 
 echo "== gate 4/4: bench guardrails =="
