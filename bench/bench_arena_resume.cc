@@ -33,7 +33,6 @@
 #include "src/common/feature_vector.h"
 #include "src/common/rng.h"
 #include "src/core/ingest_pipeline.h"
-#include "src/storage/index_codec.h"
 #include "src/video/stream_generator.h"
 
 namespace {
@@ -90,13 +89,7 @@ core::IngestParams Params() {
   return params;
 }
 
-std::string IndexBytes(const IngestResult& result) {
-  focus::storage::IndexSnapshotHeader header;
-  header.stream_name = "bench";
-  header.k = 4;
-  header.model = Params().model;
-  return focus::storage::EncodeIndexSnapshot(header, result.index);
-}
+const std::string& IndexBytes(const IngestResult& result) { return result.index.image(); }
 
 ResumeResult RunResumeConfig(const focus::video::StreamRun& run, const focus::cnn::Cnn& cheap,
                              const fs::path& state_root, double crash_fraction, int num_shards,

@@ -26,7 +26,6 @@
 #include "src/cnn/model_zoo.h"
 #include "src/core/ingest_pipeline.h"
 #include "src/runtime/ingest_service.h"
-#include "src/storage/index_codec.h"
 #include "src/video/stream_generator.h"
 
 namespace {
@@ -47,13 +46,7 @@ core::IngestParams Params() {
   return params;
 }
 
-std::string IndexBytes(const core::IngestResult& result) {
-  focus::storage::IndexSnapshotHeader header;
-  header.stream_name = "bench";
-  header.k = 4;
-  header.model = Params().model;
-  return focus::storage::EncodeIndexSnapshot(header, result.index);
-}
+const std::string& IndexBytes(const core::IngestResult& result) { return result.index.image(); }
 
 bool SameResult(const core::IngestResult& a, const core::IngestResult& b) {
   return a.detections == b.detections && a.cnn_invocations == b.cnn_invocations &&

@@ -36,7 +36,6 @@
 #include "src/core/ingest_pipeline.h"
 #include "src/core/live_snapshot.h"
 #include "src/core/query_engine.h"
-#include "src/storage/index_codec.h"
 #include "src/video/stream_generator.h"
 
 namespace {
@@ -79,9 +78,7 @@ ClassifiedSample Truncate(const ClassifiedSample& sample, focus::common::FrameIn
   return out;
 }
 
-std::string Fingerprint(const focus::index::TopKIndex& index) {
-  return focus::storage::EncodeIndexSnapshot(focus::storage::IndexSnapshotHeader{}, index);
-}
+const std::string& Fingerprint(const focus::index::TopKIndex& index) { return index.image(); }
 
 struct LiveQueryRow {
   int num_shards = 1;

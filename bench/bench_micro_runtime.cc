@@ -1,6 +1,6 @@
 // Runtime- and storage-substrate microbenchmarks (google-benchmark): virtual GPU
 // scheduling throughput, worker-pool task dispatch, metrics updates, serializer
-// encode/decode, CRC32, index snapshot codec, and record-log append/replay.
+// encode/decode, CRC32, index file write/read, and record-log append/replay.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -12,7 +12,7 @@
 #include "src/runtime/metrics.h"
 #include "src/runtime/task_queue.h"
 #include "src/runtime/worker_pool.h"
-#include "src/storage/index_codec.h"
+#include "src/storage/index_file.h"
 #include "src/storage/record_log.h"
 #include "src/storage/serializer.h"
 
@@ -100,43 +100,44 @@ void BM_VarintEncodeDecode(benchmark::State& state) {
 BENCHMARK(BM_VarintEncodeDecode);
 
 index::TopKIndex MakeIndex(int64_t clusters) {
-  index::TopKIndex idx;
+  index::IndexBuilder builder;
   for (int64_t c = 0; c < clusters; ++c) {
     index::ClusterEntry entry;
-    entry.cluster_id = c;
     entry.size = 30;
     entry.representative.frame = c * 100;
     entry.representative.object_id = c;
-    entry.representative.appearance.assign(64, 0.125f);
     entry.members.push_back({c, c * 100, c * 100 + 30});
     for (int i = 0; i < 4; ++i) {
       entry.topk_classes.push_back(static_cast<common::ClassId>((c + i) % 100));
       entry.topk_ranks.push_back(i + 1);
     }
-    idx.AddCluster(std::move(entry));
+    builder.Add(entry);
   }
-  return idx;
+  return builder.Finish();
 }
 
-void BM_IndexSnapshotEncode(benchmark::State& state) {
-  index::TopKIndex idx = MakeIndex(state.range(0));
+void BM_IndexFileWrite(benchmark::State& state) {
+  const index::TopKIndex idx = MakeIndex(state.range(0));
+  const std::string path = "/tmp/focus_bench_index_" + std::to_string(state.range(0)) + ".idx";
   for (auto _ : state) {
-    benchmark::DoNotOptimize(storage::EncodeIndexSnapshot({}, idx));
+    benchmark::DoNotOptimize(storage::WriteIndexFile(path, {}, idx).ok());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_IndexSnapshotEncode)->Arg(100)->Arg(2000);
+BENCHMARK(BM_IndexFileWrite)->Arg(100)->Arg(2000);
 
-void BM_IndexSnapshotDecode(benchmark::State& state) {
-  std::string blob = storage::EncodeIndexSnapshot({}, MakeIndex(state.range(0)));
+void BM_IndexFileRead(benchmark::State& state) {
+  const std::string path = "/tmp/focus_bench_index_" + std::to_string(state.range(0)) + ".idx";
+  if (!storage::WriteIndexFile(path, {}, MakeIndex(state.range(0))).ok()) {
+    state.SkipWithError("index file write failed");
+    return;
+  }
   for (auto _ : state) {
-    storage::IndexSnapshotHeader header;
-    index::TopKIndex decoded;
-    benchmark::DoNotOptimize(storage::DecodeIndexSnapshot(blob, &header, &decoded));
+    benchmark::DoNotOptimize(storage::ReadIndexFile(path).ok());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_IndexSnapshotDecode)->Arg(100)->Arg(2000);
+BENCHMARK(BM_IndexFileRead)->Arg(100)->Arg(2000);
 
 void BM_RecordLogAppend(benchmark::State& state) {
   const std::string path =

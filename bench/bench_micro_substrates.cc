@@ -1,6 +1,6 @@
 // Substrate microbenchmarks (google-benchmark): the per-operation costs behind the
 // system-level numbers — simulated CNN classification and feature extraction,
-// incremental clustering, top-K index operations, KvStore persistence, and the
+// incremental clustering, top-K index lookup, the index file round trip, and the
 // pixel-level vision path.
 #include <benchmark/benchmark.h>
 
@@ -9,8 +9,8 @@
 #include "src/cnn/ground_truth.h"
 #include "src/cnn/model_zoo.h"
 #include "src/common/logging.h"
-#include "src/index/kv_store.h"
 #include "src/index/topk_index.h"
+#include "src/storage/index_file.h"
 #include "src/video/renderer.h"
 #include "src/video/stream_generator.h"
 #include "src/vision/motion_detector.h"
@@ -85,39 +85,40 @@ void BM_ClustererAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_ClustererAdd)->Arg(0)->Arg(1);
 
-void BM_TopKIndexLookup(benchmark::State& state) {
-  index::TopKIndex idx;
+index::TopKIndex RandomIndex(int64_t clusters) {
+  index::IndexBuilder builder;
   common::Pcg32 rng(5);
-  for (int64_t c = 0; c < 20000; ++c) {
+  for (int64_t c = 0; c < clusters; ++c) {
     index::ClusterEntry e;
-    e.cluster_id = c;
     e.size = 10;
     e.members.push_back({c, c * 10, c * 10 + 9});
     for (int j = 0; j < 4; ++j) {
       e.topk_classes.push_back(static_cast<common::ClassId>(rng.NextBounded(1000)));
     }
-    idx.AddCluster(std::move(e));
+    builder.Add(e);
   }
+  return builder.Finish();
+}
+
+void BM_TopKIndexLookup(benchmark::State& state) {
+  const index::TopKIndex idx = RandomIndex(20000);
+  const index::IndexView view = idx.view();
   int64_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(idx.ClustersForClass(static_cast<common::ClassId>(i++ % 1000)));
+    benchmark::DoNotOptimize(view.postings(static_cast<common::ClassId>(i++ % 1000)));
   }
 }
 BENCHMARK(BM_TopKIndexLookup);
 
-void BM_KvStoreRoundTrip(benchmark::State& state) {
-  index::KvStore store;
-  for (int i = 0; i < 1000; ++i) {
-    store.Put("key" + std::to_string(i), std::string(200, 'x'));
-  }
-  std::string path = "/tmp/focus_bench_kv.bin";
+void BM_IndexFileRoundTrip(benchmark::State& state) {
+  const index::TopKIndex idx = RandomIndex(1000);
+  const std::string path = "/tmp/focus_bench_index_roundtrip.idx";
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store.SaveToFile(path).ok());
-    index::KvStore loaded;
-    benchmark::DoNotOptimize(loaded.LoadFromFile(path).ok());
+    benchmark::DoNotOptimize(storage::WriteIndexFile(path, {}, idx).ok());
+    benchmark::DoNotOptimize(storage::ReadIndexFile(path).ok());
   }
 }
-BENCHMARK(BM_KvStoreRoundTrip);
+BENCHMARK(BM_IndexFileRoundTrip);
 
 void BM_BackgroundSubtraction(benchmark::State& state) {
   video::StreamProfile profile;

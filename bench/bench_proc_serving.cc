@@ -189,7 +189,7 @@ int main() {
   focus::cnn::Cnn cheap(params.model, &catalog);
   focus::cnn::Cnn gt(focus::cnn::GtCnnDesc(kWorldSeed), &catalog);
 
-  // One plane for every row: a cadenced run flattened epoch by epoch.
+  // One plane for every row: a cadenced run published epoch by epoch.
   const std::string segment = "/focus_bench_proc_" + std::to_string(::getpid());
   EpochPublisher::Options popts;
   popts.provenance = {kWorldSeed, 5, 1, kWorldSeed};
@@ -225,9 +225,10 @@ int main() {
   // The sweep both pools serve: the plane's populated classes x Kx x range,
   // plus a near-certain miss.
   std::set<focus::common::ClassId> classes;
-  for (const auto& entry : latest->index.clusters()) {
-    for (focus::common::ClassId c : entry.topk_classes) {
-      classes.insert(c);
+  const focus::index::IndexView view = latest->index.view();
+  for (uint64_t id = 0; id < view.num_clusters(); ++id) {
+    for (const focus::index::RankedClass& c : view.classes(id)) {
+      classes.insert(c.cls);
     }
     if (classes.size() >= 4) {
       break;

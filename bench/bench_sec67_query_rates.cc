@@ -45,12 +45,12 @@ int main() {
 
     // Case A: query every class the index knows about, once each.
     double total_query_millis = 0.0;
-    for (common::ClassId cls : focus.ingest().index.IndexedClasses()) {
+    for (const index::PostingList& list : focus.ingest().index.view().lists()) {
       // Map OTHER back through real queries: query the underlying classes.
-      if (cls == cnn::kOtherClass) {
+      if (list.cls == cnn::kOtherClass) {
         continue;
       }
-      total_query_millis += focus.Query(cls).gpu_millis;
+      total_query_millis += focus.Query(list.cls).gpu_millis;
     }
     double ingest_all =
         static_cast<double>(focus.ingest().detections) * gt.inference_cost_millis();

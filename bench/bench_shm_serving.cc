@@ -10,12 +10,15 @@
 //
 //   attach_millis     cold ShmSnapshotReader::Attach (map + header adopt +
 //                     slot claim), median of 5 fresh attaches
-//   shm_query_ms      full query sweep (popular classes x Kx x range) through
-//                     ShmEpochView::Query, best of 7 samples of 20 sweep
-//                     iterations each (deterministic CPU-bound work; min is
-//                     the noise-robust statistic on a shared host)
-//   inproc_query_ms   the same sweep through core::QueryEngine on the same
-//                     epoch's LiveSnapshot, same sampling
+//   shm_query_ms      full query sweep (popular classes x Kx x range), each
+//                     query one ShmSnapshotReader::Acquire + ShmEpochView::Query
+//                     — the path the server's SHM QUERY runs — best of 7
+//                     samples of 20 sweep iterations each (deterministic
+//                     CPU-bound work; min is the noise-robust statistic on a
+//                     shared host)
+//   inproc_query_ms   the same sweep in process, each query one
+//                     SnapshotSlot::Latest + core::QueryEngine over that
+//                     snapshot (the server's live QUERY path), same sampling
 //   shm_over_inproc   shm_query_ms / inproc_query_ms — the guardrail row
 //                     (acceptance: <= 1.1x on the gated 180 s row)
 //   publish_mean_ms   mean EpochPublisher::Publish wall per epoch
@@ -145,11 +148,13 @@ int main() {
     }
     (*publisher)->UnlinkOnDestroy(true);
 
-    // Cadenced ingest, every epoch flattened into the plane as it publishes.
+    // Cadenced ingest, every epoch copied into the plane as it publishes.
     double publish_total_ms = 0.0;
     std::shared_ptr<const LiveSnapshot> latest;
+    focus::core::SnapshotSlot slot;
     IngestOptions options;
     options.finalize_every_frames = 256;
+    options.snapshot_slot = &slot;
     options.snapshot_sink = [&](std::shared_ptr<const LiveSnapshot> snap) {
       const auto t0 = Clock::now();
       auto gen = (*publisher)->Publish(*snap);
@@ -168,7 +173,7 @@ int main() {
       std::fprintf(stderr, "FAIL: no epoch published\n");
       return 1;
     }
-    row.clusters = static_cast<int64_t>(latest->index.clusters().size());
+    row.clusters = static_cast<int64_t>(latest->index.num_clusters());
     row.publish_mean_ms = publish_total_ms / static_cast<double>(row.epochs);
     row.publish_overhead = ingest_ms > 0.0 ? publish_total_ms / ingest_ms : 0.0;
 
@@ -202,23 +207,25 @@ int main() {
       std::fprintf(stderr, "FAIL: attach: %s\n", reader.error().message.c_str());
       return 1;
     }
-    auto view = (*reader)->Acquire();
-    if (!view.ok()) {
-      std::fprintf(stderr, "FAIL: acquire: %s\n", view.error().message.c_str());
-      return 1;
-    }
-    const focus::core::QueryEngine engine(latest.get(), &cheap, &gt);
-
-    // Identity pass first (also warms both paths and builds the view's
-    // scan-derived postings, so the timed samples measure steady state).
-    for (const QuerySpec& spec : specs) {
-      if (!SameResult(engine.Query(spec.cls, spec.kx, spec.range, run.fps()),
-                      view->Query(spec.cls, spec.kx, spec.range, cheap, gt))) {
-        row.identical = false;
+    // Identity pass first (also warms both paths; the reader validates the
+    // epoch's image on its first Acquire, so the timed samples measure steady
+    // state).
+    {
+      auto view = (*reader)->Acquire();
+      if (!view.ok()) {
+        std::fprintf(stderr, "FAIL: acquire: %s\n", view.error().message.c_str());
+        return 1;
       }
+      const focus::core::QueryEngine engine(latest.get(), &cheap, &gt);
+      for (const QuerySpec& spec : specs) {
+        if (!SameResult(engine.Query(spec.cls, spec.kx, spec.range, run.fps()),
+                        view->Query(spec.cls, spec.kx, spec.range, cheap, gt))) {
+          row.identical = false;
+        }
+      }
+      row.identical = row.identical && view->StillValid() && slot.Latest() == latest &&
+                      view->generation() == (*publisher)->stats().published_generation;
     }
-    row.identical = row.identical && view->StillValid() &&
-                    view->generation() == (*publisher)->stats().published_generation;
 
     // Timing: 7 samples of 20 sweep iterations each, best (min) per side —
     // single sweeps are sub-100us and swing with scheduler noise on shared
@@ -231,13 +238,20 @@ int main() {
       auto t0 = Clock::now();
       for (int it = 0; it < kItersPerSample; ++it) {
         for (const QuerySpec& spec : specs) {
-          engine.Query(spec.cls, spec.kx, spec.range, run.fps());
+          const std::shared_ptr<const LiveSnapshot> snapshot = slot.Latest();
+          const focus::core::QueryEngine engine(snapshot.get(), &cheap, &gt);
+          engine.Query(spec.cls, spec.kx, spec.range, snapshot->fps);
         }
       }
       inproc_walls.push_back(MillisSince(t0) / kItersPerSample);
       t0 = Clock::now();
       for (int it = 0; it < kItersPerSample; ++it) {
         for (const QuerySpec& spec : specs) {
+          auto view = (*reader)->Acquire();
+          if (!view.ok()) {
+            std::fprintf(stderr, "FAIL: acquire: %s\n", view.error().message.c_str());
+            return 1;
+          }
           view->Query(spec.cls, spec.kx, spec.range, cheap, gt);
         }
       }

@@ -14,7 +14,7 @@
 #include "src/runtime/fleet_query_service.h"
 #include "src/runtime/ingest_service.h"
 #include "src/runtime/metrics.h"
-#include "src/storage/index_codec.h"
+#include "src/storage/index_file.h"
 #include "src/storage/record_log.h"
 #include "src/storage/snapshot_store.h"
 #include "src/storage/video_vault.h"
@@ -71,31 +71,26 @@ int main() {
 
   // --- 2. Snapshot the index to disk and reload it (restart survival). ---
   std::printf("\n== Index snapshot ==\n");
-  storage::IndexSnapshotHeader header;
-  header.stream_name = "auburn_c";
-  header.model_name = params.model.name;
-  header.k = params.k;
-  header.cluster_threshold = params.cluster_threshold;
-  header.world_seed = 42;
-  header.fps = run.fps();
-  header.model = params.model;
-  const std::string snap_path = (workdir / "auburn_c.fidx").string();
-  std::string blob = storage::EncodeIndexSnapshot(header, focus.ingest().index);
-  if (!storage::WriteFileAtomic(snap_path, blob).ok()) {
+  storage::IndexFileMeta meta;
+  meta.stream_name = "auburn_c";
+  meta.k = params.k;
+  meta.cluster_threshold = params.cluster_threshold;
+  meta.world_seed = 42;
+  meta.fps = run.fps();
+  meta.model = params.model;
+  const std::string snap_path = (workdir / "auburn_c.idx").string();
+  if (!storage::WriteIndexFile(snap_path, meta, focus.ingest().index).ok()) {
     return 1;
   }
-  storage::IndexSnapshotHeader loaded_header;
-  index::TopKIndex loaded;
-  auto reload = storage::ReadFile(snap_path);
-  if (!reload.ok() ||
-      !storage::DecodeIndexSnapshot(*reload, &loaded_header, &loaded).ok()) {
-    std::printf("  snapshot reload failed\n");
+  auto loaded = storage::ReadIndexFile(snap_path);
+  if (!loaded.ok()) {
+    std::printf("  snapshot reload failed: %s\n", loaded.error().message.c_str());
     return 1;
   }
-  std::printf("  %s: %zu clusters, %.1f KiB on disk, reloaded OK (model=%s, K=%d)\n",
-              snap_path.c_str(), loaded.num_clusters(),
-              static_cast<double>(blob.size()) / 1024.0, loaded_header.model_name.c_str(),
-              loaded_header.k);
+  std::printf("  %s: %zu clusters, %.1f KiB image, reloaded OK (model=%s, K=%d)\n",
+              snap_path.c_str(), loaded->index.num_clusters(),
+              static_cast<double>(loaded->index.image().size()) / 1024.0,
+              loaded->meta.model.name.c_str(), loaded->meta.k);
 
   // --- 3. Record log: append per-segment progress, survive a torn tail. ---
   std::printf("\n== Record log ==\n");

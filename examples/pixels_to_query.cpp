@@ -131,10 +131,9 @@ int main() {
   }
 
   // IT4: build the index from the pixel-path clusters.
-  index::TopKIndex index;
+  index::IndexBuilder builder;
   for (const cluster::Cluster& c : clusterer.clusters()) {
     index::ClusterEntry entry;
-    entry.cluster_id = c.id;
     entry.representative = c.representative;
     entry.members = c.members;
     entry.size = c.size;
@@ -142,8 +141,9 @@ int main() {
       entry.topk_classes.push_back(cls);
       entry.topk_ranks.push_back(rank);
     }
-    index.AddCluster(std::move(entry));
+    builder.Add(entry);
   }
+  const index::TopKIndex index = builder.Finish();
 
   std::printf("== Vision stages ==\n");
   std::printf("  frames rendered:        %lld\n", static_cast<long long>(num_frames));

@@ -9,7 +9,7 @@
 
 #include "src/common/logging.h"
 #include "src/core/focus_stream.h"
-#include "src/index/kv_store.h"
+#include "src/storage/index_file.h"
 #include "src/video/stream_generator.h"
 
 int main() {
@@ -62,14 +62,22 @@ int main() {
               static_cast<long long>(total_frames), total_gpu / 1000.0, cameras.size());
 
   // Persist one camera's index the way the worker processes do (§5: MongoDB in the
-  // paper; the embedded KvStore here).
-  index::KvStore store;
-  auto saved = deployments[0]->ingest().index.SaveTo(store, "camera/" + cameras[0]);
-  if (saved.ok()) {
-    auto file = store.SaveToFile("/tmp/focus_surveillance_index.bin");
-    std::printf("\nIndex of %s persisted to /tmp/focus_surveillance_index.bin (%s, %zu keys)\n",
-                cameras[0].c_str(), file.ok() ? "ok" : file.error().message.c_str(),
-                store.size());
-  }
-  return 0;
+  // paper; an index file here), then read it back.
+  const core::FocusStream& first = *deployments[0];
+  storage::IndexFileMeta meta;
+  meta.stream_name = cameras[0];
+  meta.k = first.chosen_params().k;
+  meta.cluster_threshold = first.chosen_params().cluster_threshold;
+  meta.world_seed = catalog.world_seed();
+  meta.fps = runs[0]->fps();
+  meta.model = first.chosen_params().model;
+  const std::string path = "/tmp/focus_surveillance_index.idx";
+  auto saved = storage::WriteIndexFile(path, meta, first.ingest().index);
+  auto reloaded = saved.ok() ? storage::ReadIndexFile(path) : saved.error();
+  std::printf("\nIndex of %s persisted to %s (%s, %zu clusters, %.1f KiB)\n",
+              cameras[0].c_str(), path.c_str(),
+              reloaded.ok() ? "reloaded OK" : reloaded.error().message.c_str(),
+              first.ingest().index.num_clusters(),
+              static_cast<double>(first.ingest().index.image().size()) / 1024.0);
+  return reloaded.ok() ? 0 : 1;
 }

@@ -80,8 +80,9 @@ class Cnn {
   // verdicts back into a QueryResult.
   void ClassifyBatch(std::span<const video::Detection> detections, int k,
                      std::vector<TopKResult>* results) const;
-  // Gather form for callers whose detections are not contiguous (query plans
-  // hold pointers into the index): classifies through the pointers, no copies.
+  // Gather form for callers whose detections are not contiguous (a fleet
+  // launch packs work items of several plans): classifies through the
+  // pointers, no copies.
   void ClassifyBatch(std::span<const video::Detection* const> detections, int k,
                      std::vector<TopKResult>* results) const;
 

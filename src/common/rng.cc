@@ -12,7 +12,7 @@ uint32_t Pcg32::NextBounded(uint32_t n) {
   uint64_t m = static_cast<uint64_t>(Next()) * n;
   uint32_t low = static_cast<uint32_t>(m);
   if (low < n) {
-    uint32_t threshold = static_cast<uint32_t>(-static_cast<int32_t>(n)) % n;
+    uint32_t threshold = (0u - n) % n;  // 2^32 mod n; unsigned, so n >= 2^31 is defined.
     while (low < threshold) {
       m = static_cast<uint64_t>(Next()) * n;
       low = static_cast<uint32_t>(m);

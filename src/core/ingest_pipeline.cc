@@ -269,7 +269,6 @@ class CanonicalCut {
         item.prev_slot = static_cast<size_t>(prev_slot_by_canonical_[static_cast<size_t>(root)]);
         continue;
       }
-      item.entry.cluster_id = root;
       for (size_t r = dirty_begin_[i]; r < dirty_begin_[i + 1]; ++r) {
         const int64_t raw = dirty_raws_[r];
         const size_t s = static_cast<size_t>(raw) % num_shards;
@@ -278,8 +277,11 @@ class CanonicalCut {
         if (raw == root) {
           // The root is the component's minimum id, so it is the raw cluster
           // FinalizeClusters seeds the canonical entry (and representative)
-          // from.
-          item.entry.representative = src.representative;
+          // from. The index keeps the centroid's identity, not its appearance.
+          const video::Detection& rep = src.representative;
+          item.entry.representative = {rep.frame, rep.object_id, rep.bbox,
+                                       rep.pixel_diff_suppressed, rep.first_observation,
+                                       rep.true_class, {}};
         }
         item.entry.members.insert(item.entry.members.end(), src.members.begin(),
                                   src.members.end());
@@ -685,9 +687,11 @@ class IngestEngine {
     std::vector<SnapshotBuildItem> items;
     CanonicalCut().Cut(*clusterer_, ranks_, &items);
     IngestResult result = Partial(std::move(counts));
-    for (SnapshotBuildItem& item : items) {
-      result.index.AddCluster(std::move(item.entry));
+    index::IndexBuilder builder;
+    for (const SnapshotBuildItem& item : items) {
+      builder.Add(item.entry);
     }
+    result.index = builder.Finish();
     result.num_clusters = static_cast<int64_t>(result.index.num_clusters());
     result.clusterer_fast_hit_rate = clusterer_->FastHitRate();
     return result;

@@ -99,16 +99,19 @@ void SnapshotBuilder::Assemble(SnapshotBuildJob job) {
   snapshot->watermark = job.watermark;
   snapshot->fps = job.fps;
   snapshot->detections = job.detections;
-  for (SnapshotBuildItem& item : job.items) {
+  index::IndexBuilder builder;
+  const index::IndexView prev = prev_ != nullptr ? prev_->index.view() : index::IndexView();
+  for (const SnapshotBuildItem& item : job.items) {
     if (item.reused) {
-      FOCUS_CHECK(prev_ != nullptr);
-      snapshot->index.AddClusterFrom(prev_->index, item.prev_slot);
+      FOCUS_CHECK(item.prev_slot < prev.num_clusters());
+      builder.AddFrom(prev, item.prev_slot);
       ++snapshot->stats.entries_reused;
     } else {
-      snapshot->index.AddCluster(std::move(item.entry));
+      builder.Add(item.entry);
       ++snapshot->stats.entries_rebuilt;
     }
   }
+  snapshot->index = builder.Finish();
   snapshot->num_clusters = static_cast<int64_t>(snapshot->index.num_clusters());
   snapshot->stats.cut_millis = job.cut_millis;
   snapshot->stats.stall_millis = job.stall_millis;

@@ -7,8 +7,8 @@
 // query would wait forever. The windowed streaming finalize
 // (core::IngestOptions::finalize_every_frames) instead runs the cross-shard
 // merge to convergence every N sampled frames and publishes the result as an
-// immutable LiveSnapshot: the canonical cluster table (carried as the top-K
-// index's cluster entries), the frame watermark the table covers, and a
+// immutable LiveSnapshot: the canonical cluster table as one index image
+// (src/index/topk_index.h), the frame watermark the table covers, and a
 // monotone epoch number.
 //
 // Publication is an RCU-style pointer swap (SnapshotSlot): the ingest thread
@@ -44,15 +44,15 @@ namespace focus::core {
 // Build accounting of one snapshot (the publication overhead the live-query
 // bench tracks).
 struct LiveSnapshotStats {
-  // Index entries carried forward unchanged from the previous epoch (their
-  // component composition, members, and ranks did not change) vs rebuilt from
-  // the rank table. reused + rebuilt == index.num_clusters().
+  // Index records carried forward unchanged from the previous epoch's image
+  // (their component composition, members, and ranks did not change) vs
+  // rebuilt from the rank table. reused + rebuilt == index.num_clusters().
   int64_t entries_reused = 0;
   int64_t entries_rebuilt = 0;
   // Wall-clock of the whole publication in synchronous mode: cross-shard merge
-  // pass, canonical table build, index assembly, and the pointer swap. In
-  // background mode, the builder-thread assembly alone — the ingest thread's
-  // share is cut_millis + stall_millis.
+  // pass, canonical table build, image assembly (postings and CRC included),
+  // and the pointer swap. In background mode, the builder-thread assembly
+  // alone — the ingest thread's share is cut_millis + stall_millis.
   double build_millis = 0.0;
   // Ingest-thread wall-clock spent cutting this epoch at the boundary (merge
   // pass, dirty census, dirty-entry builds) — the part that cannot leave the
@@ -74,9 +74,10 @@ struct LiveSnapshot {
   common::FrameIndex watermark = 0;
   // Recording fps, for time-range-to-frame mapping at plan time.
   double fps = 30.0;
-  // The canonical cluster table as the query side consumes it: one ClusterEntry
-  // per canonical cluster (representative, member runs, ranked top-K classes)
-  // plus the class postings.
+  // The canonical cluster table as the query side consumes it: the index
+  // image — one record per canonical cluster (centroid identity, member runs,
+  // ranked top-K classes) plus the class postings. The shm plane publishes
+  // these bytes verbatim.
   index::TopKIndex index;
   // Stream counters as of the watermark.
   int64_t detections = 0;
@@ -98,8 +99,8 @@ class SnapshotSlot {
   SnapshotSlot& operator=(const SnapshotSlot&) = delete;
 
   // The newest published snapshot, or null before the first epoch. The caller's
-  // shared_ptr keeps the snapshot (and every index entry a plan points into)
-  // alive even if a newer epoch is published mid-query.
+  // shared_ptr keeps the snapshot (and the image an engine reads) alive even if
+  // a newer epoch is published mid-query.
   std::shared_ptr<const LiveSnapshot> Latest() const {
     std::lock_guard<std::mutex> lock(mu_);
     return latest_;
@@ -115,7 +116,7 @@ class SnapshotSlot {
 };
 
 // One slot of a snapshot build job, in index slot order: either "carry the
-// entry at |prev_slot| of the previous epoch's index forward unchanged" or a
+// record at |prev_slot| of the previous epoch's image forward unchanged" or a
 // fully built entry for a dirtied canonical cluster.
 struct SnapshotBuildItem {
   bool reused = false;
@@ -126,7 +127,7 @@ struct SnapshotBuildItem {
 // Everything needed to assemble and publish one epoch, cut from the live
 // clusterer state at a cadence boundary by the ingest thread. The job owns all
 // its bytes (dirty entries are deep copies; reused entries are named by their
-// slot in the *previous epoch's published index*, which the builder owns) —
+// slot in the *previous epoch's published image*, which the builder owns) —
 // nothing aliases ingest state, which is what lets assembly run on another
 // thread while assignments continue.
 struct SnapshotBuildJob {
@@ -149,8 +150,8 @@ struct SnapshotBuildJob {
 // Both modes run the identical assembly code over identical job bytes, so for
 // the same stream the published snapshot sequence is byte-identical;
 // background mode changes only *when* the bytes are assembled. The builder
-// owns the previous-epoch chain (reused entries copy from its own last
-// published index), publishes through the owner's SnapshotSlot in submit
+// owns the previous-epoch chain (reused records copy from its own last
+// published image), publishes through the owner's SnapshotSlot in submit
 // (FIFO) order — epoch stamps stay monotone — and invokes the sink on
 // whichever thread assembles: the builder thread in background mode.
 class SnapshotBuilder {

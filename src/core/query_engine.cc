@@ -72,9 +72,13 @@ std::pair<common::FrameIndex, common::FrameIndex> FrameBoundsOfRange(common::Tim
   return {first, last};
 }
 
-QueryEngine::QueryEngine(const index::TopKIndex* index, const cnn::Cnn* ingest_cnn,
+QueryEngine::QueryEngine(index::IndexView index, const cnn::Cnn* ingest_cnn,
                          const cnn::Cnn* gt_cnn)
     : index_(index), ingest_cnn_(ingest_cnn), gt_cnn_(gt_cnn) {}
+
+QueryEngine::QueryEngine(const index::TopKIndex* index, const cnn::Cnn* ingest_cnn,
+                         const cnn::Cnn* gt_cnn)
+    : QueryEngine(index->view(), ingest_cnn, gt_cnn) {}
 
 QueryEngine::QueryEngine(const LiveSnapshot* snapshot, const cnn::Cnn* ingest_cnn,
                          const cnn::Cnn* gt_cnn)
@@ -90,7 +94,6 @@ QueryPlan QueryEngine::Plan(common::ClassId cls, int kx, common::TimeRange range
   // specialized model was not trained on lives under OTHER, §4.3) and pull the
   // posting list.
   plan.lookup = ingest_cnn_->MapTrueLabel(cls);
-  const std::vector<int64_t>& candidates = index_->ClustersForClass(plan.lookup);
 
   // Map the time range to frame bounds once; clipping each run is then O(1).
   const bool clip = range.begin_sec > 0.0 || range.end_sec >= 0.0;
@@ -98,33 +101,27 @@ QueryPlan QueryEngine::Plan(common::ClassId cls, int kx, common::TimeRange range
     std::tie(plan.range_first, plan.range_last) = FrameBoundsOfRange(range, fps);
   }
 
-  for (int64_t id : candidates) {
-    const index::ClusterEntry& entry = index_->cluster(id);
-    if (kx > 0 && !entry.MatchesWithin(plan.lookup, kx)) {
+  // The Kx filter: a cluster matches within kx when the class's rank there is
+  // <= kx; rank 0 (unranked) matches every kx.
+  for (const index::Posting& posting : index_.postings(plan.lookup)) {
+    if (kx > 0 && posting.rank > kx) {
       continue;
     }
-    if (min_kx > 0 && entry.MatchesWithin(plan.lookup, min_kx)) {
+    if (min_kx > 0 && posting.rank <= min_kx) {
       continue;  // Already admitted (and classified) by an earlier expansion.
     }
-    plan.work.push_back(CentroidWorkItem{id, &entry.representative});
+    plan.work.push_back(CentroidWorkItem{posting.cluster, index_.centroid(posting.cluster)});
   }
   return plan;
 }
 
 std::vector<common::ClassId> QueryEngine::ClassifyPlan(const QueryPlan& plan) const {
-  // Classify the centroid objects as one batch, through the work items'
-  // pointers into the index (no Detection/feature copies on the query path).
-  std::vector<const video::Detection*> crops;
-  crops.reserve(plan.work.size());
-  for (const CentroidWorkItem& item : plan.work) {
-    crops.push_back(item.centroid);
-  }
-  std::vector<cnn::TopKResult> classified;
-  gt_cnn_->ClassifyBatch(crops, /*k=*/1, &classified);
+  // Cnn::Top1 is Classify(centroid, 1).Top1() without building the ranked
+  // list; what the batch costs is Resolve's accounting, not this loop's.
   std::vector<common::ClassId> verdicts;
-  verdicts.reserve(classified.size());
-  for (const cnn::TopKResult& topk : classified) {
-    verdicts.push_back(topk.Top1());
+  verdicts.reserve(plan.work.size());
+  for (const CentroidWorkItem& item : plan.work) {
+    verdicts.push_back(gt_cnn_->Top1(item.centroid));
   }
   return verdicts;
 }
@@ -147,8 +144,7 @@ QueryResult QueryEngine::Resolve(const QueryPlan& plan,
     }
     // QT4: the whole cluster inherits the centroid's label.
     ++result.clusters_matched;
-    const index::ClusterEntry& entry = index_->cluster(plan.work[i].cluster_id);
-    for (const cluster::MemberRun& run : entry.members) {
+    for (const cluster::MemberRun& run : index_.runs(plan.work[i].cluster_id)) {
       const common::FrameIndex first = std::max(run.first_frame, plan.range_first);
       const common::FrameIndex last = std::min(run.last_frame, plan.range_last);
       if (first > last) {

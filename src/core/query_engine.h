@@ -54,13 +54,13 @@ struct QueryResult {
 };
 
 // One unit of query-time GPU work: the centroid object of a candidate cluster that
-// needs a GT-CNN verdict. |centroid| points into the index's ClusterEntry and stays
-// valid while the index lives. (stream, cluster_id) identifies the classification
-// for cross-query dedup — the verdict depends only on the centroid object, never on
-// which query asked.
+// needs a GT-CNN verdict, carried by value (its identity fields; no appearance),
+// so a plan never points into the index it was made from. (stream, cluster_id)
+// identifies the classification for cross-query dedup — the verdict depends only
+// on the centroid object, never on which query asked.
 struct CentroidWorkItem {
   int64_t cluster_id = -1;
-  const video::Detection* centroid = nullptr;
+  video::Detection centroid;
 };
 
 // The free half of a query: everything Query() decides before touching a GPU.
@@ -80,8 +80,11 @@ struct QueryPlan {
 
 class QueryEngine {
  public:
-  // |index|, |ingest_cnn| (the model that built the index, for label-space mapping)
-  // and |gt_cnn| must outlive the engine.
+  // Plans and resolves over |index|: an image this process assembled
+  // (TopKIndex), mapped from a shm plane (shm::ShmEpochView) or read from a
+  // file. The image bytes, |ingest_cnn| (the model that built the index, for
+  // label-space mapping) and |gt_cnn| must outlive the engine.
+  QueryEngine(index::IndexView index, const cnn::Cnn* ingest_cnn, const cnn::Cnn* gt_cnn);
   QueryEngine(const index::TopKIndex* index, const cnn::Cnn* ingest_cnn, const cnn::Cnn* gt_cnn);
 
   // Live query-over-ingest (src/core/live_snapshot.h): plans against a
@@ -116,11 +119,11 @@ class QueryEngine {
   // comment).
   QueryResult Resolve(const QueryPlan& plan, std::span<const common::ClassId> verdicts) const;
 
-  const index::TopKIndex& index() const { return *index_; }
+  const index::IndexView& index() const { return index_; }
   const cnn::Cnn& gt_cnn() const { return *gt_cnn_; }
 
  private:
-  const index::TopKIndex* index_;
+  index::IndexView index_;
   const cnn::Cnn* ingest_cnn_;
   const cnn::Cnn* gt_cnn_;
 };

@@ -88,8 +88,7 @@ QueryBatch QuerySession::ExpandTo(int kx) {
     if (!verdicts_.at(item.cluster_id)) {
       continue;
     }
-    const index::ClusterEntry& entry = engine_.index().cluster(item.cluster_id);
-    for (const cluster::MemberRun& run : entry.members) {
+    for (const cluster::MemberRun& run : engine_.index().runs(item.cluster_id)) {
       const common::FrameIndex first = std::max(run.first_frame, plan.range_first);
       const common::FrameIndex last = std::min(run.last_frame, plan.range_last);
       if (first > last) {

@@ -1,191 +1,253 @@
 #include "src/index/topk_index.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
-#include <type_traits>
+#include <limits>
+#include <string>
+#include <string_view>
+
+#include "src/common/logging.h"
+#include "src/storage/serializer.h"
 
 namespace focus::index {
 
 namespace {
 
-// Minimal binary (de)serialization into std::string values for the KvStore.
-void PutRaw(std::string& out, const void* data, size_t n) {
-  out.append(static_cast<const char*>(data), n);
+common::Error Corrupt(const std::string& what) {
+  return common::DataLoss("index image: " + what);
 }
+
+// Whether |count| elements of |elem| bytes at |offset| fit in |size| bytes
+// (64 B aligned, past the header, no overflow).
+bool SectionFits(uint64_t offset, uint64_t count, size_t elem, uint64_t size) {
+  return offset % kImageAlign == 0 && offset >= sizeof(ImageHeader) && offset <= size &&
+         count <= (size - offset) / elem;
+}
+
+uint64_t AlignUp(uint64_t n) { return (n + kImageAlign - 1) & ~uint64_t{kImageAlign - 1}; }
+
+uint32_t Narrow(size_t n) {
+  FOCUS_CHECK(n <= std::numeric_limits<uint32_t>::max());
+  return static_cast<uint32_t>(n);
+}
+
 template <typename T>
-void PutPod(std::string& out, T v) {
-  PutRaw(out, &v, sizeof(v));
-}
-// Length-prefixed bulk append: one memcpy for the whole array instead of one
-// PutPod per element (feature vectors and posting arrays dominate blob size).
-template <typename T>
-void PutArray(std::string& out, const T* data, size_t n) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PutPod(out, static_cast<uint32_t>(n));
-  PutRaw(out, data, n * sizeof(T));
-}
-
-class Reader {
- public:
-  explicit Reader(const std::string& data) : data_(data) {}
-
-  template <typename T>
-  bool Read(T* v) {
-    if (pos_ + sizeof(T) > data_.size()) {
-      return false;
-    }
-    std::memcpy(v, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
+void CopySection(std::string& image, uint64_t offset, const std::vector<T>& items) {
+  if (!items.empty()) {
+    std::memcpy(image.data() + offset, items.data(), items.size() * sizeof(T));
   }
-
-  // Counterpart of PutArray: reads the length prefix, then the payload with a
-  // single memcpy.
-  template <typename T>
-  bool ReadArray(std::vector<T>* out) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    uint32_t n = 0;
-    if (!Read(&n)) {
-      return false;
-    }
-    const size_t bytes = static_cast<size_t>(n) * sizeof(T);
-    if (pos_ + bytes > data_.size()) {
-      return false;
-    }
-    out->resize(n);
-    std::memcpy(out->data(), data_.data() + pos_, bytes);
-    pos_ += bytes;
-    return true;
-  }
-
-  bool ok() const { return pos_ <= data_.size(); }
-
- private:
-  const std::string& data_;
-  size_t pos_ = 0;
-};
-
-std::string EncodeCluster(const ClusterEntry& e) {
-  std::string out;
-  PutPod(out, e.cluster_id);
-  PutPod(out, e.size);
-  // Representative detection.
-  PutPod(out, e.representative.frame);
-  PutPod(out, e.representative.object_id);
-  PutPod(out, e.representative.true_class);
-  PutPod(out, e.representative.bbox.x);
-  PutPod(out, e.representative.bbox.y);
-  PutPod(out, e.representative.bbox.w);
-  PutPod(out, e.representative.bbox.h);
-  PutArray(out, e.representative.appearance.data(), e.representative.appearance.size());
-  // MemberRun is three contiguous int64 fields (no padding), so the run list
-  // round-trips as one block.
-  static_assert(sizeof(cluster::MemberRun) ==
-                sizeof(common::ObjectId) + 2 * sizeof(common::FrameIndex));
-  PutArray(out, e.members.data(), e.members.size());
-  PutArray(out, e.topk_classes.data(), e.topk_classes.size());
-  PutArray(out, e.topk_ranks.data(), e.topk_ranks.size());
-  return out;
-}
-
-bool DecodeCluster(const std::string& data, ClusterEntry* e) {
-  Reader r(data);
-  if (!r.Read(&e->cluster_id) || !r.Read(&e->size) || !r.Read(&e->representative.frame) ||
-      !r.Read(&e->representative.object_id) || !r.Read(&e->representative.true_class) ||
-      !r.Read(&e->representative.bbox.x) || !r.Read(&e->representative.bbox.y) ||
-      !r.Read(&e->representative.bbox.w) || !r.Read(&e->representative.bbox.h)) {
-    return false;
-  }
-  return r.ReadArray(&e->representative.appearance) && r.ReadArray(&e->members) &&
-         r.ReadArray(&e->topk_classes) && r.ReadArray(&e->topk_ranks);
-}
-
-std::string ClusterKey(const std::string& prefix, int64_t id) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "/c/%012lld", static_cast<long long>(id));
-  return prefix + buf;
 }
 
 }  // namespace
 
-void TopKIndex::AddCluster(ClusterEntry entry) {
-  int64_t id = static_cast<int64_t>(clusters_.size());
-  entry.cluster_id = id;
+IndexView::IndexView(const char* base) : base_(base) {
+  std::memcpy(&header_, base, sizeof(header_));
+  records_ = reinterpret_cast<const ClusterRecord*>(base + header_.off_records);
+  runs_ = reinterpret_cast<const cluster::MemberRun*>(base + header_.off_runs);
+  classes_ = reinterpret_cast<const RankedClass*>(base + header_.off_classes);
+  lists_ = reinterpret_cast<const PostingList*>(base + header_.off_lists);
+  postings_ = reinterpret_cast<const Posting*>(base + header_.off_postings);
+}
+
+common::Result<IndexView> IndexView::Open(std::span<const char> bytes) {
+  if (bytes.size() < sizeof(ImageHeader)) {
+    return Corrupt("truncated (" + std::to_string(bytes.size()) + " bytes, header needs " +
+                   std::to_string(sizeof(ImageHeader)) + ")");
+  }
+  if (reinterpret_cast<uintptr_t>(bytes.data()) % alignof(uint64_t) != 0) {
+    return common::InvalidArgument("index image: buffer is not 8 B aligned");
+  }
+  ImageHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  if (header.magic != kImageMagic) {
+    return Corrupt("bad magic (not an index image)");
+  }
+  if (header.version != kImageVersion) {
+    return common::FailedPrecondition("index image: version " + std::to_string(header.version) +
+                                      ", this build reads version " +
+                                      std::to_string(kImageVersion));
+  }
+  if (header.image_bytes != bytes.size()) {
+    return Corrupt("length " + std::to_string(bytes.size()) + " != recorded " +
+                   std::to_string(header.image_bytes));
+  }
+  const uint32_t crc = storage::Crc32(
+      std::string_view(bytes.data() + kImageCrcBegin, bytes.size() - kImageCrcBegin));
+  if (crc != header.crc) {
+    return Corrupt("CRC mismatch (corrupted or torn)");
+  }
+  const uint64_t size = bytes.size();
+  if (!SectionFits(header.off_records, header.cluster_count, sizeof(ClusterRecord), size) ||
+      !SectionFits(header.off_runs, header.run_count, sizeof(cluster::MemberRun), size) ||
+      !SectionFits(header.off_classes, header.class_count, sizeof(RankedClass), size) ||
+      !SectionFits(header.off_lists, header.list_count, sizeof(PostingList), size) ||
+      !SectionFits(header.off_postings, header.posting_count, sizeof(Posting), size)) {
+    return Corrupt("a section lies outside the image");
+  }
+  const IndexView view(bytes.data());
+  for (uint64_t i = 0; i < header.cluster_count; ++i) {
+    const ClusterRecord& r = view.records_[i];
+    if (uint64_t{r.runs_begin} + r.runs_count > header.run_count ||
+        uint64_t{r.classes_begin} + r.classes_count > header.class_count) {
+      return Corrupt("record " + std::to_string(i) + " slices past its section");
+    }
+  }
+  // The lists must partition the posting section in directory order, so each
+  // posting is checked once and no two classes share one.
+  uint64_t next = 0;
+  for (uint64_t l = 0; l < header.list_count; ++l) {
+    const PostingList& list = view.lists_[l];
+    if (l > 0 && list.cls <= view.lists_[l - 1].cls) {
+      return Corrupt("class directory is not strictly ascending at entry " + std::to_string(l));
+    }
+    if (list.begin != next || list.count > header.posting_count - next) {
+      return Corrupt("posting list of class " + std::to_string(list.cls) +
+                     " does not continue the posting section at " + std::to_string(next));
+    }
+    for (uint64_t p = list.begin; p < list.begin + list.count; ++p) {
+      if (view.postings_[p].cluster >= header.cluster_count) {
+        return Corrupt("posting of class " + std::to_string(list.cls) + " names cluster " +
+                       std::to_string(view.postings_[p].cluster) + " of " +
+                       std::to_string(header.cluster_count));
+      }
+    }
+    next += list.count;
+  }
+  if (next != header.posting_count) {
+    return Corrupt("posting lists cover " + std::to_string(next) + " of " +
+                   std::to_string(header.posting_count) + " postings");
+  }
+  return view;
+}
+
+video::Detection IndexView::centroid(uint64_t id) const {
+  const ClusterRecord& r = records_[id];
+  video::Detection detection;
+  detection.frame = r.frame;
+  detection.object_id = r.object_id;
+  detection.bbox = video::BBox{r.bbox_x, r.bbox_y, r.bbox_w, r.bbox_h};
+  detection.pixel_diff_suppressed = (r.flags & 1u) != 0;
+  detection.first_observation = (r.flags & 2u) != 0;
+  detection.true_class = r.true_class;
+  return detection;
+}
+
+std::span<const Posting> IndexView::postings(common::ClassId cls) const {
+  const PostingList* end = lists_ + header_.list_count;
+  const PostingList* it = std::lower_bound(
+      lists_, end, cls, [](const PostingList& list, common::ClassId c) { return list.cls < c; });
+  if (it == end || it->cls != cls) {
+    return {};
+  }
+  return {postings_ + it->begin, it->count};
+}
+
+TopKIndex::TopKIndex() : TopKIndex(IndexBuilder().Finish()) {}
+
+common::Result<TopKIndex> TopKIndex::FromImage(std::string image) {
+  auto view = IndexView::Open(image);
+  if (!view.ok()) {
+    return view.error();
+  }
+  return TopKIndex(std::move(image));
+}
+
+void IndexBuilder::Add(const ClusterEntry& entry) {
+  const video::Detection& rep = entry.representative;
+  ClusterRecord& record = records_.emplace_back();
+  record.size = entry.size;
+  record.frame = rep.frame;
+  record.object_id = rep.object_id;
+  record.bbox_x = rep.bbox.x;
+  record.bbox_y = rep.bbox.y;
+  record.bbox_w = rep.bbox.w;
+  record.bbox_h = rep.bbox.h;
+  record.flags = (rep.pixel_diff_suppressed ? 1u : 0u) | (rep.first_observation ? 2u : 0u);
+  record.true_class = rep.true_class;
+  record.runs_begin = Narrow(runs_.size());
+  record.runs_count = Narrow(entry.members.size());
+  runs_.insert(runs_.end(), entry.members.begin(), entry.members.end());
+  record.classes_begin = Narrow(classes_.size());
+  record.classes_count = Narrow(entry.topk_classes.size());
+  const bool ranked = entry.topk_ranks.size() == entry.topk_classes.size();
+  for (size_t i = 0; i < entry.topk_classes.size(); ++i) {
+    classes_.push_back(RankedClass{entry.topk_classes[i], ranked ? entry.topk_ranks[i] : 0});
+  }
   total_detections_ += entry.size;
-  for (common::ClassId cls : entry.topk_classes) {
-    postings_[cls].push_back(id);
-  }
-  clusters_.push_back(std::move(entry));
 }
 
-void TopKIndex::AddClusterFrom(const TopKIndex& prev, size_t prev_slot) {
-  AddCluster(prev.clusters_[prev_slot]);
+void IndexBuilder::AddFrom(const IndexView& prev, uint64_t id) {
+  ClusterRecord record = prev.record(id);
+  const std::span<const cluster::MemberRun> runs = prev.runs(id);
+  const std::span<const RankedClass> classes = prev.classes(id);
+  record.runs_begin = Narrow(runs_.size());
+  record.classes_begin = Narrow(classes_.size());
+  runs_.insert(runs_.end(), runs.begin(), runs.end());
+  classes_.insert(classes_.end(), classes.begin(), classes.end());
+  records_.push_back(record);
+  total_detections_ += record.size;
 }
 
-const std::vector<int64_t>& TopKIndex::ClustersForClass(common::ClassId cls) const {
-  auto it = postings_.find(cls);
-  return it == postings_.end() ? empty_ : it->second;
-}
-
-std::vector<common::ClassId> TopKIndex::IndexedClasses() const {
-  std::vector<common::ClassId> out;
-  out.reserve(postings_.size());
-  for (const auto& [cls, ids] : postings_) {
-    if (!ids.empty()) {
-      out.push_back(cls);
+TopKIndex IndexBuilder::Finish() const {
+  // Postings: (class, class-entry index) keys sorted once. Class entries are
+  // appended in cluster id order, so within a class the ids come out ascending
+  // and a cluster listing the class twice is adjacent to itself: its first
+  // occurrence is posted, later ones are skipped.
+  std::vector<uint64_t> keys;
+  keys.reserve(classes_.size());
+  std::vector<uint32_t> owner(classes_.size());
+  for (size_t id = 0; id < records_.size(); ++id) {
+    const ClusterRecord& r = records_[id];
+    for (uint32_t c = r.classes_begin; c < r.classes_begin + r.classes_count; ++c) {
+      owner[c] = static_cast<uint32_t>(id);
+      const uint32_t biased = static_cast<uint32_t>(classes_[c].cls) ^ 0x80000000u;
+      keys.push_back((uint64_t{biased} << 32) | c);
     }
   }
-  return out;
-}
-
-common::Result<bool> TopKIndex::SaveTo(KvStore& store, const std::string& prefix) const {
-  std::string meta;
-  PutPod(meta, static_cast<uint64_t>(clusters_.size()));
-  store.Put(prefix + "/meta", meta);
-  for (const ClusterEntry& e : clusters_) {
-    store.Put(ClusterKey(prefix, e.cluster_id), EncodeCluster(e));
-  }
-  return true;
-}
-
-common::Result<bool> TopKIndex::LoadFrom(const KvStore& store, const std::string& prefix) {
-  auto meta = store.Get(prefix + "/meta");
-  if (!meta.has_value()) {
-    return common::NotFound("no index under prefix " + prefix);
-  }
-  Reader r(*meta);
-  uint64_t count = 0;
-  if (!r.Read(&count)) {
-    return common::IoError("corrupt index meta under " + prefix);
-  }
-  clusters_.clear();
-  postings_.clear();
-  total_detections_ = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    auto blob = store.Get(ClusterKey(prefix, static_cast<int64_t>(i)));
-    if (!blob.has_value()) {
-      return common::IoError("missing cluster blob " + std::to_string(i));
+  std::sort(keys.begin(), keys.end());
+  std::vector<PostingList> lists;
+  std::vector<Posting> postings;
+  postings.reserve(keys.size());
+  for (const uint64_t key : keys) {
+    const RankedClass& entry = classes_[static_cast<uint32_t>(key)];
+    const uint32_t id = owner[static_cast<uint32_t>(key)];
+    if (lists.empty() || lists.back().cls != entry.cls) {
+      lists.push_back(PostingList{entry.cls, 0, postings.size()});
+    } else if (postings.back().cluster == id) {
+      continue;
     }
-    ClusterEntry e;
-    if (!DecodeCluster(*blob, &e)) {
-      return common::IoError("corrupt cluster blob " + std::to_string(i));
-    }
-    AddCluster(std::move(e));
+    ++lists.back().count;
+    postings.push_back(Posting{id, entry.rank});
   }
-  return true;
-}
 
-void TopKIndex::MergeFrom(TopKIndex other, common::FrameIndex frame_offset) {
-  for (ClusterEntry& entry : other.clusters_) {
-    entry.representative.frame += frame_offset;
-    for (cluster::MemberRun& run : entry.members) {
-      run.first_frame += frame_offset;
-      run.last_frame += frame_offset;
-    }
-    // AddCluster renumbers the id and rebuilds the postings.
-    AddCluster(std::move(entry));
-  }
+  ImageHeader header;
+  header.magic = kImageMagic;
+  header.version = kImageVersion;
+  header.total_detections = total_detections_;
+  header.cluster_count = records_.size();
+  header.run_count = runs_.size();
+  header.class_count = classes_.size();
+  header.list_count = lists.size();
+  header.posting_count = postings.size();
+  header.off_records = AlignUp(sizeof(ImageHeader));
+  header.off_runs = AlignUp(header.off_records + records_.size() * sizeof(ClusterRecord));
+  header.off_classes = AlignUp(header.off_runs + runs_.size() * sizeof(cluster::MemberRun));
+  header.off_lists = AlignUp(header.off_classes + classes_.size() * sizeof(RankedClass));
+  header.off_postings = AlignUp(header.off_lists + lists.size() * sizeof(PostingList));
+  header.image_bytes = AlignUp(header.off_postings + postings.size() * sizeof(Posting));
+
+  // Zero-filled, so alignment padding is deterministic and the CRC is a
+  // function of the index alone.
+  std::string image(header.image_bytes, '\0');
+  CopySection(image, header.off_records, records_);
+  CopySection(image, header.off_runs, runs_);
+  CopySection(image, header.off_classes, classes_);
+  CopySection(image, header.off_lists, lists);
+  CopySection(image, header.off_postings, postings);
+  std::memcpy(image.data(), &header, sizeof(header));
+  header.crc = storage::Crc32(std::string_view(image).substr(kImageCrcBegin));
+  std::memcpy(image.data(), &header, sizeof(header));
+  return TopKIndex(std::move(image));
 }
 
 }  // namespace focus::index

@@ -198,7 +198,7 @@ std::vector<FleetQueryService::UnitOutcome> FleetQueryService::ExecuteUnitsLocke
         continue;
       }
       ++stats_.cache_misses;
-      fresh.push_back(FreshItem{u, item.cluster_id, item.centroid});
+      fresh.push_back(FreshItem{u, item.cluster_id, &item.centroid});
       local.emplace(std::move(key), LocalVerdict{common::kInvalidClass, 0.0, false, true});
     }
   }

@@ -78,8 +78,8 @@ struct QueryRequest {
   common::TimeRange range{};   // Restriction to a time window.
 
   // --- Live snapshot target (src/core/live_snapshot.h) ---
-  // The request's shared_ptr keeps the snapshot — and every index entry the
-  // plan points into — alive through execution even if the ingest worker
+  // The request's shared_ptr keeps the snapshot — and the index image the
+  // engine reads — alive through execution even if the ingest worker
   // publishes a newer epoch mid-query. |ingest_cnn| (label-space mapping) and
   // |gt_cnn| (centroid verdicts) are required with a snapshot; |fps| is the
   // recording rate used for time-range planning (runtime::LiveStreamContext

@@ -7,9 +7,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <limits>
+#include <optional>
 #include <string_view>
-#include <tuple>
 
 #include "src/common/logging.h"
 #include "src/storage/serializer.h"
@@ -316,25 +315,7 @@ common::Result<uint64_t> EpochPublisher::Publish(const core::LiveSnapshot& snaps
     }
   }
 
-  // Flatten geometry. Appearance dimensionality is uniform per stream (one
-  // catalog); the centroid section is cluster-dense rows of |dim| floats.
-  const auto& clusters = snapshot.index.clusters();
-  const uint64_t cluster_count = clusters.size();
-  uint64_t member_count = 0;
-  uint64_t class_count = 0;
-  uint64_t rank_count = 0;
-  uint32_t dim = 0;
-  for (const index::ClusterEntry& entry : clusters) {
-    member_count += entry.members.size();
-    class_count += entry.topk_classes.size();
-    rank_count += entry.topk_ranks.size();
-    const uint32_t entry_dim = static_cast<uint32_t>(entry.representative.appearance.size());
-    if (dim == 0) {
-      dim = entry_dim;
-    }
-    FOCUS_CHECK(entry_dim == dim);
-  }
-
+  const std::span<const char> image = snapshot.index.view().bytes();
   ShmEpochHeader header;
   header.magic = kShmMagic;
   header.generation = ctl->published_generation.load(std::memory_order_relaxed) + 1;
@@ -346,72 +327,17 @@ common::Result<uint64_t> EpochPublisher::Publish(const core::LiveSnapshot& snaps
   header.entries_reused = snapshot.stats.entries_reused;
   header.entries_rebuilt = snapshot.stats.entries_rebuilt;
   header.build_millis = snapshot.stats.build_millis;
-  header.dim = dim;
-  header.cluster_count = cluster_count;
-  header.member_count = member_count;
-  header.class_count = class_count;
-  header.rank_count = rank_count;
-  header.off_clusters = 0;
-  header.off_members = AlignUp(cluster_count * sizeof(ShmClusterRecord));
-  header.off_classes = AlignUp(header.off_members + member_count * sizeof(ShmMemberRun));
-  header.off_ranks = AlignUp(header.off_classes + class_count * sizeof(int32_t));
-  header.off_centroids = AlignUp(header.off_ranks + rank_count * sizeof(int32_t));
-  header.payload_bytes =
-      header.off_centroids + cluster_count * uint64_t{dim} * sizeof(float);
+  header.payload_bytes = image.size();
   header.provenance = options_.provenance;
 
-  auto region = ClaimRegion(header.generation, std::max<uint64_t>(header.payload_bytes, kAlign));
+  auto region = ClaimRegion(header.generation, header.payload_bytes);
   if (!region.ok()) {
     return region.error();
   }
   header.region_index = *region;
   header.region_offset = ctl->regions[*region].offset.load(std::memory_order_relaxed);
-
-  // Write the flat image. The section gaps are alignment padding; zero them so
-  // the payload CRC is a function of the snapshot alone.
-  char* base = segment_->bytes() + header.region_offset;
-  std::memset(base, 0, header.payload_bytes);
-  auto* records = reinterpret_cast<ShmClusterRecord*>(base + header.off_clusters);
-  auto* runs = reinterpret_cast<ShmMemberRun*>(base + header.off_members);
-  auto* classes = reinterpret_cast<int32_t*>(base + header.off_classes);
-  auto* ranks = reinterpret_cast<int32_t*>(base + header.off_ranks);
-  auto* centroids = reinterpret_cast<float*>(base + header.off_centroids);
-  uint64_t member_at = 0;
-  uint64_t class_at = 0;
-  uint64_t rank_at = 0;
-  for (uint64_t i = 0; i < cluster_count; ++i) {
-    const index::ClusterEntry& entry = clusters[i];
-    ShmClusterRecord& record = records[i];
-    record.cluster_id = entry.cluster_id;
-    record.size = entry.size;
-    record.rep_frame = entry.representative.frame;
-    record.rep_object_id = entry.representative.object_id;
-    record.bbox_x = entry.representative.bbox.x;
-    record.bbox_y = entry.representative.bbox.y;
-    record.bbox_w = entry.representative.bbox.w;
-    record.bbox_h = entry.representative.bbox.h;
-    record.rep_flags = (entry.representative.pixel_diff_suppressed ? 1u : 0u) |
-                       (entry.representative.first_observation ? 2u : 0u);
-    record.rep_true_class = entry.representative.true_class;
-    record.members_begin = member_at;
-    record.members_count = entry.members.size();
-    for (const cluster::MemberRun& run : entry.members) {
-      runs[member_at++] = ShmMemberRun{run.object, run.first_frame, run.last_frame};
-    }
-    record.classes_begin = class_at;
-    record.classes_count = entry.topk_classes.size();
-    for (common::ClassId cls : entry.topk_classes) {
-      classes[class_at++] = cls;
-    }
-    record.ranks_begin = rank_at;
-    record.ranks_count = entry.topk_ranks.size();
-    for (int32_t rank : entry.topk_ranks) {
-      ranks[rank_at++] = rank;
-    }
-    std::memcpy(centroids + i * dim, entry.representative.appearance.data(),
-                dim * sizeof(float));
-  }
-  header.payload_crc = storage::Crc32(std::string_view(base, header.payload_bytes));
+  std::memcpy(segment_->bytes() + header.region_offset, image.data(), image.size());
+  header.payload_crc = snapshot.index.view().crc();
   header.header_crc = HeaderCrc(header);
 
   // Ping-pong announce: write the alternate slot, then advance the published
@@ -491,30 +417,26 @@ ShmReaderSlot* ShmSnapshotReader::reader_slot() const {
 }
 
 common::Result<ShmEpochHeader> ShmSnapshotReader::AdoptNewestHeader() const {
-  ShmEpochHeader best;
-  bool any = false;
-  for (int s = 0; s < 2; ++s) {
-    ShmEpochHeader candidate;
-    std::memcpy(&candidate,
-                segment_->bytes() + kShmHeaderOffset +
-                    static_cast<size_t>(s) * kShmHeaderSlotBytes,
-                sizeof(candidate));
-    if (ValidHeader(candidate, segment_->size()) &&
-        (!any || candidate.generation > best.generation)) {
-      best = candidate;
-      any = true;
+  ShmEpochHeader slots[2];
+  std::memcpy(&slots[0], segment_->bytes() + kShmHeaderOffset, sizeof(slots[0]));
+  std::memcpy(&slots[1], segment_->bytes() + kShmHeaderOffset + kShmHeaderSlotBytes,
+              sizeof(slots[1]));
+  // Higher generation first: the first CRC-valid slot is the newest valid one,
+  // so the common case CRCs one header, not two.
+  const int newer = slots[1].generation > slots[0].generation ? 1 : 0;
+  for (const int s : {newer, 1 - newer}) {
+    if (ValidHeader(slots[s], segment_->size())) {
+      return slots[s];
     }
   }
-  if (!any) {
-    return common::Error{common::ErrorCode::kFailedPrecondition,
-                         "no epoch published yet in " + segment_->name()};
-  }
-  return best;
+  return common::Error{common::ErrorCode::kFailedPrecondition,
+                       "no epoch published yet in " + segment_->name()};
 }
 
 common::Result<ShmEpochView> ShmSnapshotReader::Acquire() {
   FOCUS_CHECK(!view_outstanding_);  // One pin slot: release the view first.
   ShmReaderSlot* slot = reader_slot();
+  std::optional<common::Error> last_error;  // The last image that failed to open.
   for (int attempt = 0; attempt < 64; ++attempt) {
     auto header = AdoptNewestHeader();
     if (!header.ok()) {
@@ -532,21 +454,29 @@ common::Result<ShmEpochView> ShmSnapshotReader::Acquire() {
       continue;
     }
     if (validated_generation_ != g) {
-      // One payload CRC per freshly seen generation; every query against the
-      // pinned view afterwards is pure scan. A mismatch means a forced
-      // eviction beat our pin (or genuine corruption) — retry on the newest.
-      const char* base = segment_->bytes() + header->region_offset;
-      if (storage::Crc32(std::string_view(
-              base, static_cast<size_t>(header->payload_bytes))) != header->payload_crc) {
+      // One image validation per freshly seen generation; every query against
+      // the pinned view afterwards runs straight off the mapping. A failure
+      // means a forced eviction beat our pin (or genuine corruption) — retry
+      // on the newest.
+      auto opened = index::IndexView::Open(std::span<const char>(
+          segment_->bytes() + header->region_offset,
+          static_cast<size_t>(header->payload_bytes)));
+      if (!opened.ok() || opened->crc() != header->payload_crc) {
+        last_error = opened.ok() ? common::DataLoss("shm image CRC differs from its header")
+                                 : opened.error();
         slot->pinned_generation.store(0, std::memory_order_seq_cst);
         metrics_->IncrementCounter("shm.pin_retries");
         continue;
       }
       validated_generation_ = g;
+      validated_index_ = *opened;
     }
     view_outstanding_ = true;
     metrics_->IncrementCounter("shm.epoch_pins");
-    return ShmEpochView(this, *header);
+    return ShmEpochView(this, *header, validated_index_);
+  }
+  if (last_error.has_value()) {
+    return *last_error;
   }
   return common::Error{common::ErrorCode::kUnavailable,
                        "could not pin an epoch in " + segment_->name() +
@@ -572,12 +502,8 @@ ShmPlaneStats ShmSnapshotReader::stats() const { return StatsOf(*segment_); }
 // --- ShmEpochView ---
 
 ShmEpochView::ShmEpochView(ShmEpochView&& other) noexcept
-    : reader_(other.reader_),
-      header_(other.header_),
-      postings_built_(other.postings_built_),
-      postings_(std::move(other.postings_)) {
+    : reader_(other.reader_), header_(other.header_), index_(other.index_) {
   other.reader_ = nullptr;
-  other.postings_built_ = false;
 }
 
 ShmEpochView& ShmEpochView::operator=(ShmEpochView&& other) noexcept {
@@ -587,10 +513,8 @@ ShmEpochView& ShmEpochView::operator=(ShmEpochView&& other) noexcept {
     }
     reader_ = other.reader_;
     header_ = other.header_;
-    postings_built_ = other.postings_built_;
-    postings_ = std::move(other.postings_);
+    index_ = other.index_;
     other.reader_ = nullptr;
-    other.postings_built_ = false;
   }
   return *this;
 }
@@ -607,165 +531,15 @@ bool ShmEpochView::StillValid() const {
              std::memory_order_seq_cst) == header_.generation;
 }
 
-const ShmClusterRecord* ShmEpochView::clusters() const {
-  return reinterpret_cast<const ShmClusterRecord*>(
-      reader_->segment_->bytes() + header_.region_offset + header_.off_clusters);
-}
-
-const ShmMemberRun* ShmEpochView::members() const {
-  return reinterpret_cast<const ShmMemberRun*>(reader_->segment_->bytes() +
-                                               header_.region_offset + header_.off_members);
-}
-
-const int32_t* ShmEpochView::classes() const {
-  return reinterpret_cast<const int32_t*>(reader_->segment_->bytes() +
-                                          header_.region_offset + header_.off_classes);
-}
-
-const int32_t* ShmEpochView::ranks() const {
-  return reinterpret_cast<const int32_t*>(reader_->segment_->bytes() +
-                                          header_.region_offset + header_.off_ranks);
-}
-
-const float* ShmEpochView::centroids() const {
-  return reinterpret_cast<const float*>(reader_->segment_->bytes() + header_.region_offset +
-                                        header_.off_centroids);
-}
-
-ShmQueryPlan ShmEpochView::Plan(common::ClassId cls, int kx, common::TimeRange range,
-                                const cnn::Cnn& ingest_cnn) const {
-  ShmQueryPlan plan;
-  plan.queried = cls;
-  plan.kx = kx;
-  plan.lookup = ingest_cnn.MapTrueLabel(cls);
-  plan.range_first = 0;
-  plan.range_last = std::numeric_limits<common::FrameIndex>::max();
-  const bool clip = range.begin_sec > 0.0 || range.end_sec >= 0.0;
-  if (clip) {
-    std::tie(plan.range_first, plan.range_last) = core::FrameBoundsOfRange(range, header_.fps);
-  }
-
-  // Posting-list lookup over the scan-derived postings (built once per view);
-  // the per-candidate rank test mirrors index::ClusterEntry::MatchesWithin.
-  if (!postings_built_) {
-    BuildPostings();
-  }
-  const auto it = postings_.find(plan.lookup);
-  if (it == postings_.end()) {
-    return plan;  // Not indexed under the lookup class at all.
-  }
-  for (const Posting& posting : it->second) {
-    if (kx > 0 && posting.rank > static_cast<int32_t>(kx)) {
-      continue;
-    }
-    plan.candidates.push_back(posting.record);
-  }
-  return plan;
-}
-
-void ShmEpochView::BuildPostings() const {
-  // One scan over the cluster records in id order — the index appends dense
-  // ids, so each per-class posting vector comes out in exactly the order the
-  // in-process plan walks. First occurrence of a class within a record
-  // decides; a rank table shorter than the class table admits every Kx
-  // (rank 0), both mirroring index::ClusterEntry::MatchesWithin.
-  const ShmClusterRecord* records = clusters();
-  const int32_t* class_section = classes();
-  const int32_t* rank_section = ranks();
-  for (uint64_t i = 0; i < header_.cluster_count; ++i) {
-    const ShmClusterRecord& record = records[i];
-    const int32_t* record_classes = class_section + record.classes_begin;
-    const bool ranked = record.ranks_count == record.classes_count;
-    for (uint64_t j = 0; j < record.classes_count; ++j) {
-      std::vector<Posting>& list = postings_[record_classes[j]];
-      if (!list.empty() && list.back().record == i) {
-        continue;  // A later duplicate never overrides the first occurrence.
-      }
-      list.push_back(
-          Posting{i, ranked ? rank_section[record.ranks_begin + j] : 0});
-    }
-  }
-  postings_built_ = true;
-}
-
-video::Detection ShmEpochView::MaterializeCentroid(uint64_t record) const {
-  FOCUS_CHECK(record < header_.cluster_count);
-  const ShmClusterRecord& rec = clusters()[record];
-  video::Detection detection;
-  detection.frame = rec.rep_frame;
-  detection.object_id = rec.rep_object_id;
-  detection.bbox = video::BBox{rec.bbox_x, rec.bbox_y, rec.bbox_w, rec.bbox_h};
-  detection.pixel_diff_suppressed = (rec.rep_flags & 1u) != 0;
-  detection.first_observation = (rec.rep_flags & 2u) != 0;
-  detection.true_class = rec.rep_true_class;
-  const float* row = centroids() + record * header_.dim;
-  detection.appearance.assign(row, row + header_.dim);
-  return detection;
-}
-
-core::QueryResult ShmEpochView::Resolve(const ShmQueryPlan& plan,
-                                        std::span<const common::ClassId> verdicts,
-                                        const cnn::Cnn& gt_cnn) const {
-  FOCUS_CHECK(verdicts.size() == plan.candidates.size());
-  core::QueryResult result;
-  result.queried = plan.queried;
-
-  // Term-by-term mirror of core::QueryEngine::Resolve: same accounting order,
-  // same clipping, same merge — so the fold is byte-identical no matter which
-  // side of the process boundary it runs on.
-  const ShmClusterRecord* records = clusters();
-  const ShmMemberRun* run_section = members();
-  std::vector<std::pair<common::FrameIndex, common::FrameIndex>> runs;
-  for (size_t i = 0; i < plan.candidates.size(); ++i) {
-    ++result.centroids_classified;
-    result.gpu_millis += gt_cnn.inference_cost_millis();
-    if (verdicts[i] != plan.queried) {
-      continue;
-    }
-    ++result.clusters_matched;
-    const ShmClusterRecord& record = records[plan.candidates[i]];
-    for (uint64_t m = 0; m < record.members_count; ++m) {
-      const ShmMemberRun& run = run_section[record.members_begin + m];
-      const common::FrameIndex first = std::max(run.first_frame, plan.range_first);
-      const common::FrameIndex last = std::min(run.last_frame, plan.range_last);
-      if (first > last) {
-        continue;
-      }
-      runs.emplace_back(first, last);
-    }
-  }
-  result.frame_runs = core::MergeFrameRuns(std::move(runs));
-  for (const auto& [first, last] : result.frame_runs) {
-    result.frames_returned += last - first + 1;
-  }
-  return result;
+core::QueryPlan ShmEpochView::Plan(common::ClassId cls, int kx, common::TimeRange range,
+                                   const cnn::Cnn& ingest_cnn) const {
+  return core::QueryEngine(index_, &ingest_cnn, nullptr).Plan(cls, kx, range, header_.fps);
 }
 
 core::QueryResult ShmEpochView::Query(common::ClassId cls, int kx, common::TimeRange range,
                                       const cnn::Cnn& ingest_cnn,
                                       const cnn::Cnn& gt_cnn) const {
-  const ShmQueryPlan plan = Plan(cls, kx, range, ingest_cnn);
-  // Appearance-free classification through one reused stub: the GT-CNN
-  // verdict is a deterministic function of (object_id, frame, true_class) —
-  // the appearance feeds only the ingest-side feature path — so the query
-  // path copies nothing out of the mapping, and Cnn::Top1 (documented
-  // equivalent to Classify(d, 1).Top1(); the byte-identity property tests
-  // hold the equivalence) skips the per-candidate Top-K scratch.
-  const ShmClusterRecord* records = clusters();
-  video::Detection stub;
-  std::vector<common::ClassId> verdicts;
-  verdicts.reserve(plan.candidates.size());
-  for (uint64_t record : plan.candidates) {
-    const ShmClusterRecord& rec = records[record];
-    stub.frame = rec.rep_frame;
-    stub.object_id = rec.rep_object_id;
-    stub.bbox = video::BBox{rec.bbox_x, rec.bbox_y, rec.bbox_w, rec.bbox_h};
-    stub.pixel_diff_suppressed = (rec.rep_flags & 1u) != 0;
-    stub.first_observation = (rec.rep_flags & 2u) != 0;
-    stub.true_class = rec.rep_true_class;
-    verdicts.push_back(gt_cnn.Top1(stub));
-  }
-  return Resolve(plan, verdicts, gt_cnn);
+  return core::QueryEngine(index_, &ingest_cnn, &gt_cnn).Query(cls, kx, range, header_.fps);
 }
 
 common::Result<core::QueryResult> ShmEpochView::QueryChecked(

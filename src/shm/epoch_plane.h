@@ -1,12 +1,12 @@
 // The shared-memory epoch plane: zero-copy multi-process serving of live
 // snapshots (docs/shm_serving.md).
 //
-// PR 5's live query-over-ingest publishes each epoch as an in-process
-// LiveSnapshot through an RCU SnapshotSlot; this plane carries that contract
-// across a process boundary. The ingest process owns an EpochPublisher: every
-// published snapshot's canonical cluster table — member runs, ranked top-K
-// classes, and centroid appearance vectors — is flattened once into a POD
-// image inside a named POSIX shm segment and announced through the same
+// Live query-over-ingest publishes each epoch as an in-process LiveSnapshot
+// through an RCU SnapshotSlot; this plane carries that contract across a
+// process boundary. The ingest process owns an EpochPublisher: every published
+// snapshot's index image (src/index/topk_index.h) — the very bytes the
+// in-process snapshot owns — is copied with one memcpy into a region of a
+// named POSIX shm segment and announced through the same
 // generation/CRC ping-pong header protocol the mmap arena uses
 // (src/storage/arena_file.h): two 4 KiB header slots, writer alternates,
 // readers adopt the highest CRC-valid generation, so a torn header falls back
@@ -24,18 +24,15 @@
 // on the next publish — a crashed worker can delay region reuse by at most one
 // epoch and can never stall ingest.
 //
-// Queries run straight off the mapped image: the segment carries no index —
-// ShmEpochView derives per-class posting lists from one id-order scan of the
-// cluster records the first time an epoch is queried (id order IS posting-list
-// order, since the index appends dense ids), then plans each query off those,
-// mirroring core::QueryEngine::Plan/Resolve term by term. A query answered
-// from the mapping in another process is therefore byte-identical to the
-// in-process snapshot query against the same epoch (tests/shm_serving_test.cc
-// holds this as a property across advancing epochs) at in-process query cost:
-// nothing is serialized or copied per query — the GT-CNN verdict is a
-// deterministic function of a centroid's identity fields, so classification
-// runs through lightweight stubs; MaterializeCentroid copies the dim floats
-// only when a caller wants the appearance itself.
+// Queries run straight off the mapped image: each reader validates a new
+// generation's image once (index::IndexView::Open, which also checks the
+// image CRC the header announces), and ShmEpochView plans and resolves
+// through the same core::QueryEngine the in-process path uses, over a view of
+// the mapping — class postings included, so no query path rebuilds them. A
+// query answered from the mapping in another process is therefore
+// byte-identical to the in-process snapshot query against the same epoch
+// (tests/shm_serving_test.cc holds this as a property across advancing epochs)
+// at in-process query cost: nothing is serialized or copied per query.
 #ifndef FOCUS_SRC_SHM_EPOCH_PLANE_H_
 #define FOCUS_SRC_SHM_EPOCH_PLANE_H_
 
@@ -43,17 +40,15 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "src/cnn/cnn.h"
 #include "src/common/result.h"
 #include "src/common/time_types.h"
 #include "src/core/live_snapshot.h"
 #include "src/core/query_engine.h"
+#include "src/index/topk_index.h"
 #include "src/runtime/metrics.h"
 #include "src/shm/shm_segment.h"
-#include "src/video/detection.h"
 
 namespace focus::shm {
 
@@ -67,8 +62,10 @@ namespace focus::shm {
 
 inline constexpr uint64_t kShmMagic = 0x464F435553534D31ULL;  // "FOCUSSM1"
 // v2: ShmControl grew the free-span table (abandoned region spans are
-// compacted and reused instead of leaked). Readers refuse other versions.
-inline constexpr uint32_t kShmVersion = 2;
+// compacted and reused instead of leaked). v3: a region holds the epoch's
+// index image (postings included, no centroid appearance section). Readers
+// refuse other versions.
+inline constexpr uint32_t kShmVersion = 3;
 inline constexpr size_t kShmControlBytes = 4096;
 inline constexpr size_t kShmReaderSlotsBytes = 4096;
 inline constexpr size_t kShmHeaderSlotBytes = 4096;
@@ -79,8 +76,8 @@ inline constexpr uint32_t kShmMaxRegions = 8;
 inline constexpr uint32_t kShmMaxFreeSpans = 16;
 inline constexpr size_t kShmDefaultSegmentBytes = size_t{256} << 20;  // Virtual; lazy pages.
 
-// One data region: a bump-allocated span holding the payload of exactly one
-// generation at a time. The publisher rotates generations across regions and
+// One data region: a bump-allocated span holding the index image of exactly
+// one generation at a time. The publisher rotates generations across regions and
 // re-points a region at a larger span when a payload outgrows it; the old
 // span goes to the control block's free-span table and is reused (compacted)
 // by later growths instead of leaking inside the fixed arena.
@@ -141,8 +138,9 @@ struct ShmModelProvenance {
 };
 
 // The per-epoch header written into the ping-pong slots. POD; CRC'd twice:
-// |payload_crc| over the region payload (validated once per epoch by each
-// reader), |header_crc| over this struct with the field itself zeroed.
+// |payload_crc| is the image's own CRC (index::ImageHeader::crc, checked once
+// per epoch by each reader), |header_crc| covers this struct with the field
+// itself zeroed.
 struct ShmEpochHeader {
   uint64_t magic = 0;
   uint64_t generation = 0;
@@ -155,19 +153,9 @@ struct ShmEpochHeader {
   int64_t entries_rebuilt = 0;
   double build_millis = 0.0;
   uint32_t region_index = 0;
-  uint32_t dim = 0;  // Centroid appearance dimensionality (uniform per stream).
-  uint64_t region_offset = 0;   // Absolute payload offset.
-  uint64_t payload_bytes = 0;
-  uint64_t cluster_count = 0;
-  uint64_t member_count = 0;
-  uint64_t class_count = 0;  // Total ranked-class entries across clusters.
-  uint64_t rank_count = 0;   // May differ from class_count (index semantics).
-  // Section offsets relative to |region_offset|, 64 B aligned.
-  uint64_t off_clusters = 0;
-  uint64_t off_members = 0;
-  uint64_t off_classes = 0;
-  uint64_t off_ranks = 0;
-  uint64_t off_centroids = 0;
+  uint32_t reserved = 0;
+  uint64_t region_offset = 0;  // Absolute image offset.
+  uint64_t payload_bytes = 0;  // Image length.
   ShmModelProvenance provenance;
   uint32_t payload_crc = 0;
   uint32_t header_crc = 0;
@@ -175,33 +163,6 @@ struct ShmEpochHeader {
 static_assert(sizeof(ShmEpochHeader) <= kShmHeaderSlotBytes);
 static_assert(sizeof(ShmControl) <= kShmControlBytes);
 static_assert(kShmMaxReaders * sizeof(ShmReaderSlot) <= kShmReaderSlotsBytes);
-
-// One flattened canonical cluster (index::ClusterEntry as POD). The centroid
-// appearance lives in the centroid section at row |record index| * dim.
-struct ShmClusterRecord {
-  int64_t cluster_id = 0;
-  int64_t size = 0;
-  int64_t rep_frame = 0;
-  int64_t rep_object_id = 0;
-  float bbox_x = 0.0f;
-  float bbox_y = 0.0f;
-  float bbox_w = 0.0f;
-  float bbox_h = 0.0f;
-  uint32_t rep_flags = 0;  // Bit 0: pixel_diff_suppressed; bit 1: first_observation.
-  int32_t rep_true_class = 0;
-  uint64_t members_begin = 0;  // Into the member-run section.
-  uint64_t members_count = 0;
-  uint64_t classes_begin = 0;  // Into the class section.
-  uint64_t classes_count = 0;
-  uint64_t ranks_begin = 0;  // Into the rank section.
-  uint64_t ranks_count = 0;
-};
-
-struct ShmMemberRun {
-  int64_t object = 0;
-  int64_t first_frame = 0;
-  int64_t last_frame = 0;
-};
 
 // Plane-wide accounting, readable from either side.
 struct ShmPlaneStats {
@@ -218,23 +179,10 @@ struct ShmPlaneStats {
 
 class ShmSnapshotReader;
 
-// The free half of a scan query: candidate record indices, in id order — which
-// equals the in-process plan's posting-list order, since the index appends
-// dense cluster ids (see file comment).
-struct ShmQueryPlan {
-  common::ClassId queried = common::kInvalidClass;
-  common::ClassId lookup = common::kInvalidClass;
-  int kx = -1;
-  common::FrameIndex range_first = 0;
-  common::FrameIndex range_last = 0;
-  std::vector<uint64_t> candidates;
-};
-
 // A pinned, validated epoch mapped into this process. Movable RAII: the pin is
-// released on destruction. Everything it returns points into (or is computed
-// from) the shared mapping; no serialization happens on this path. Not safe
-// for concurrent use from multiple threads (the worker model is one view per
-// process; Plan lazily builds the per-class postings on first use).
+// released on destruction. Queries run through core::QueryEngine over the
+// view of the mapped image; no serialization happens on this path and the
+// view holds no mutable state, so any number of threads may query it.
 class ShmEpochView {
  public:
   ShmEpochView(ShmEpochView&& other) noexcept;
@@ -248,43 +196,29 @@ class ShmEpochView {
   common::FrameIndex watermark() const { return header_.watermark; }
   double fps() const { return header_.fps; }
   int64_t detections() const { return header_.detections; }
-  uint64_t num_clusters() const { return header_.cluster_count; }
-  uint32_t dim() const { return header_.dim; }
+  uint64_t num_clusters() const { return index_.num_clusters(); }
   const ShmEpochHeader& header() const { return header_; }
+  // The mapped image.
+  const index::IndexView& index() const { return index_; }
 
   // Whether the pinned region still holds this generation. The pin protocol
   // guarantees it does as long as the view lives — unless the publisher was
   // forced to evict a live pin (all regions pinned; counted as a
-  // pin_violation), in which case the scan's result must be discarded.
+  // pin_violation), in which case the query's result must be discarded.
   bool StillValid() const;
 
-  // QT1/QT2 off the mapping: posting-list lookup + ranked-class filter,
-  // mirroring core::QueryEngine::Plan (same lookup mapping, same Kx
-  // semantics, same range-to-frame-bounds arithmetic). The postings are
-  // derived from one id-order scan of the mapped records on the first Plan
-  // against this view, then reused — cold cost O(map + scan), every query
-  // after at in-process plan cost.
-  ShmQueryPlan Plan(common::ClassId cls, int kx, common::TimeRange range,
-                    const cnn::Cnn& ingest_cnn) const;
+  // QT1/QT2 off the mapping: core::QueryEngine::Plan over index(), with this
+  // epoch's fps for the range-to-frame mapping.
+  core::QueryPlan Plan(common::ClassId cls, int kx, common::TimeRange range,
+                       const cnn::Cnn& ingest_cnn) const;
 
-  // Materializes the centroid detection of |record|, appearance included (one
-  // Detection + dim floats). Tooling/inspection path — Query classifies
-  // through appearance-free stubs and copies nothing.
-  video::Detection MaterializeCentroid(uint64_t record) const;
-
-  // QT4: folds |verdicts| (parallel to plan.candidates) exactly as
-  // core::QueryEngine::Resolve does, including its per-item GPU accounting.
-  core::QueryResult Resolve(const ShmQueryPlan& plan,
-                            std::span<const common::ClassId> verdicts,
-                            const cnn::Cnn& gt_cnn) const;
-
-  // Plan -> one GT-CNN batch -> Resolve. Byte-identical to
-  // core::QueryEngine::Query against the in-process snapshot of this epoch.
+  // core::QueryEngine::Query over index(). Byte-identical to the query
+  // against the in-process snapshot of this epoch.
   core::QueryResult Query(common::ClassId cls, int kx, common::TimeRange range,
                           const cnn::Cnn& ingest_cnn, const cnn::Cnn& gt_cnn) const;
 
   // Query with the eviction check folded in: re-checks StillValid() *after*
-  // the scan and returns a typed kUnavailable instead of a result computed
+  // the query and returns a typed kUnavailable instead of a result computed
   // from bytes the publisher may have overwritten (forced eviction of a live
   // pin). The RPC worker path uses this so an evicted pin surfaces as a typed
   // error across the process boundary instead of a silently wrong answer.
@@ -293,35 +227,14 @@ class ShmEpochView {
                                                  const cnn::Cnn& ingest_cnn,
                                                  const cnn::Cnn& gt_cnn) const;
 
-  // Raw sections (for tests and the status tooling).
-  const ShmClusterRecord* clusters() const;
-  const ShmMemberRun* members() const;
-  const int32_t* classes() const;
-  const int32_t* ranks() const;
-  const float* centroids() const;
-
  private:
   friend class ShmSnapshotReader;
-  ShmEpochView(ShmSnapshotReader* reader, ShmEpochHeader header)
-      : reader_(reader), header_(header) {}
-
-  // One posting: a candidate record plus the rank of the queried class inside
-  // it (0 when the record carries no rank table — admits every Kx, matching
-  // index::ClusterEntry::MatchesWithin).
-  struct Posting {
-    uint64_t record = 0;
-    int32_t rank = 0;
-  };
-
-  // Builds |postings_| from one id-order scan of the mapped cluster records
-  // (first occurrence of a class within a record decides, like the in-process
-  // index). Called lazily by Plan.
-  void BuildPostings() const;
+  ShmEpochView(ShmSnapshotReader* reader, ShmEpochHeader header, index::IndexView index)
+      : reader_(reader), header_(header), index_(index) {}
 
   ShmSnapshotReader* reader_ = nullptr;  // Null after move/release.
   ShmEpochHeader header_;
-  mutable bool postings_built_ = false;
-  mutable std::unordered_map<common::ClassId, std::vector<Posting>> postings_;
+  index::IndexView index_;
 };
 
 // The ingest-side publisher. Single-owner, single-threaded (call Publish from
@@ -352,7 +265,8 @@ class EpochPublisher {
   EpochPublisher(const EpochPublisher&) = delete;
   EpochPublisher& operator=(const EpochPublisher&) = delete;
 
-  // Flattens |snapshot| into a region and announces it as the next generation.
+  // Copies |snapshot|'s index image into a region and announces it as the
+  // next generation.
   // Reclaims dead readers' pins first; never blocks on a live reader (a fully
   // pinned plane forcibly evicts the oldest pinned region and counts a
   // pin_violation — the evicted reader detects it via StillValid). Errors only
@@ -400,9 +314,11 @@ class ShmSnapshotReader {
 
   // Pins and validates the newest published epoch: adopt the highest
   // CRC-valid header, store the pin, re-check the region generation (retry if
-  // the writer won the race), then CRC the payload once per new generation.
-  // kFailedPrecondition before the first epoch; kUnavailable if the plane
-  // outpaces the reader past the retry budget.
+  // the writer won the race), then open the image (index::IndexView::Open:
+  // CRC and structure) once per new generation and match its CRC to the
+  // header's. kFailedPrecondition before the first epoch; kUnavailable if the
+  // plane outpaces the reader past the retry budget, or kDataLoss when the
+  // image never validates.
   common::Result<ShmEpochView> Acquire();
 
   // Provenance of the newest valid header (for cold-process model rebuild).
@@ -431,7 +347,8 @@ class ShmSnapshotReader {
   uint32_t slot_ = 0;
   runtime::MetricsRegistry* metrics_;
   bool view_outstanding_ = false;
-  uint64_t validated_generation_ = 0;  // Payload CRC already checked for this gen.
+  uint64_t validated_generation_ = 0;  // Generation whose image is opened...
+  index::IndexView validated_index_;   // ...and that image.
 };
 
 // Plane stats for any attached segment (publisher- or reader-side object).

@@ -147,23 +147,23 @@ TEST_F(CoreFixture, IngestAccountsGpuTimeAndSuppression) {
               static_cast<double>(result.cnn_invocations) * cheap.inference_cost_millis(), 1e-6);
   EXPECT_GT(result.num_clusters, 0);
   // All detections are indexed.
-  EXPECT_EQ(result.index.total_indexed_detections(), result.detections);
+  EXPECT_EQ(result.index.view().total_detections(), result.detections);
 }
 
 TEST_F(CoreFixture, IngestClusterClassListsAreRankedUnions) {
   IngestParams params = SpecializedParams(3, 0.5);
   cnn::Cnn cheap(params.model, &catalog_);
   IngestResult result = RunIngest(*run_, cheap, params);
-  for (const auto& entry : result.index.clusters()) {
-    ASSERT_GE(entry.topk_classes.size(), 1u);
-    ASSERT_EQ(entry.topk_classes.size(), entry.topk_ranks.size());
+  const index::IndexView view = result.index.view();
+  for (uint64_t id = 0; id < view.num_clusters(); ++id) {
+    ASSERT_GE(view.classes(id).size(), 1u);
     int32_t prev = 0;
-    for (int32_t rank : entry.topk_ranks) {
+    for (const index::RankedClass& ranked : view.classes(id)) {
       // Ranks are 1-based, bounded by the indexing K, and sorted ascending.
-      EXPECT_GE(rank, 1);
-      EXPECT_LE(rank, 3);
-      EXPECT_GE(rank, prev);
-      prev = rank;
+      EXPECT_GE(ranked.rank, 1);
+      EXPECT_LE(ranked.rank, 3);
+      EXPECT_GE(ranked.rank, prev);
+      prev = ranked.rank;
     }
   }
 }

@@ -159,20 +159,7 @@ TEST_F(FlakyStreamTest, RandomRestartsConvergeByteIdenticalUnderSupervision) {
     EXPECT_EQ(converged.suppressed, reference.suppressed);
     EXPECT_DOUBLE_EQ(converged.gpu_millis, reference.gpu_millis);
     ASSERT_EQ(converged.index.num_clusters(), reference.index.num_clusters());
-    for (size_t i = 0; i < reference.index.num_clusters(); ++i) {
-      const index::ClusterEntry& got = converged.index.clusters()[i];
-      const index::ClusterEntry& want = reference.index.clusters()[i];
-      EXPECT_EQ(got.cluster_id, want.cluster_id);
-      EXPECT_EQ(got.size, want.size);
-      EXPECT_EQ(got.topk_classes, want.topk_classes);
-      EXPECT_EQ(got.topk_ranks, want.topk_ranks);
-      ASSERT_EQ(got.members.size(), want.members.size());
-      for (size_t m = 0; m < want.members.size(); ++m) {
-        EXPECT_EQ(got.members[m].object, want.members[m].object);
-        EXPECT_EQ(got.members[m].first_frame, want.members[m].first_frame);
-        EXPECT_EQ(got.members[m].last_frame, want.members[m].last_frame);
-      }
-    }
+    EXPECT_TRUE(converged.index.image() == reference.index.image()) << "index images differ";
   }
 }
 

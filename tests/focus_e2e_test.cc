@@ -4,10 +4,12 @@
 // Query-all), plus tuner behaviour and index persistence round-trips.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "src/baseline/baselines.h"
 #include "src/cnn/ground_truth.h"
 #include "src/core/focus_stream.h"
-#include "src/index/kv_store.h"
+#include "src/storage/index_file.h"
 #include "src/video/stream_generator.h"
 
 namespace focus::core {
@@ -110,17 +112,23 @@ TEST_F(FocusE2eTest, DynamicKxTradesRecallForLatency) {
   EXPECT_LE(narrow.frames_returned, wide.frames_returned);
 }
 
-TEST_F(FocusE2eTest, IndexRoundTripsThroughKvStoreAndAnswersIdentically) {
+TEST_F(FocusE2eTest, IndexRoundTripsThroughIndexFileAndAnswersIdentically) {
   std::vector<common::ClassId> dominant = truth_->DominantClasses(0.5, 1);
   ASSERT_FALSE(dominant.empty());
 
-  index::KvStore store;
-  ASSERT_TRUE(focus_->ingest().index.SaveTo(store, "e2e").ok());
-  index::TopKIndex reloaded;
-  ASSERT_TRUE(reloaded.LoadFrom(store, "e2e").ok());
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "focus_e2e_test_index.idx").string();
+  storage::IndexFileMeta meta;
+  meta.stream_name = "e2e";
+  meta.model = focus_->chosen_params().model;
+  ASSERT_TRUE(storage::WriteIndexFile(path, meta, focus_->ingest().index).ok());
+  auto reloaded = storage::ReadIndexFile(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.error().message;
+  EXPECT_EQ(reloaded->index.image(), focus_->ingest().index.image());
 
   QueryEngine original(&focus_->ingest().index, &focus_->ingest_cnn(), &focus_->gt_cnn());
-  QueryEngine restored(&reloaded, &focus_->ingest_cnn(), &focus_->gt_cnn());
+  QueryEngine restored(&reloaded->index, &focus_->ingest_cnn(), &focus_->gt_cnn());
   QueryResult a = original.Query(dominant[0], -1, {}, run_->fps());
   QueryResult b = restored.Query(dominant[0], -1, {}, run_->fps());
   EXPECT_EQ(a.frame_runs, b.frame_runs);

@@ -1,94 +1,19 @@
-// Unit tests for the KvStore and the top-K index.
+// Unit tests for the top-K index image: assembly, postings, the ranked Kx
+// filter, delta carry-forward, and the validating decoder.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <filesystem>
+#include <cstring>
+#include <string>
+#include <vector>
 
-#include "src/index/kv_store.h"
 #include "src/index/topk_index.h"
 
 namespace focus::index {
 namespace {
 
-TEST(KvStoreTest, PutGetErase) {
-  KvStore store;
-  store.Put("a", "1");
-  store.Put("b", "2");
-  EXPECT_EQ(store.Get("a").value(), "1");
-  EXPECT_FALSE(store.Get("c").has_value());
-  EXPECT_TRUE(store.Erase("a"));
-  EXPECT_FALSE(store.Erase("a"));
-  EXPECT_FALSE(store.Get("a").has_value());
-  EXPECT_EQ(store.size(), 1u);
-}
-
-TEST(KvStoreTest, OverwriteReplacesValue) {
-  KvStore store;
-  store.Put("k", "old");
-  store.Put("k", "new");
-  EXPECT_EQ(store.Get("k").value(), "new");
-  EXPECT_EQ(store.size(), 1u);
-}
-
-TEST(KvStoreTest, PrefixScanInOrder) {
-  KvStore store;
-  store.Put("idx/2", "b");
-  store.Put("idx/1", "a");
-  store.Put("other/1", "x");
-  store.Put("idx/3", "c");
-  auto rows = store.Scan("idx/");
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows[0].first, "idx/1");
-  EXPECT_EQ(rows[2].second, "c");
-  EXPECT_TRUE(store.Scan("zzz").empty());
-}
-
-TEST(KvStoreTest, SaveAndLoadRoundTrip) {
-  std::string path = std::filesystem::temp_directory_path() / "focus_kv_test.bin";
-  {
-    KvStore store;
-    store.Put("key1", "value1");
-    store.Put("key2", std::string("bin\0ary", 7));
-    auto saved = store.SaveToFile(path);
-    ASSERT_TRUE(saved.ok()) << saved.error().message;
-  }
-  KvStore loaded;
-  auto ok = loaded.LoadFromFile(path);
-  ASSERT_TRUE(ok.ok()) << ok.error().message;
-  EXPECT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded.Get("key1").value(), "value1");
-  EXPECT_EQ(loaded.Get("key2").value(), std::string("bin\0ary", 7));
-  std::remove(path.c_str());
-}
-
-TEST(KvStoreTest, LoadMissingFileIsNotFound) {
-  KvStore store;
-  auto result = store.LoadFromFile("/nonexistent/path/focus.bin");
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, common::ErrorCode::kNotFound);
-}
-
-TEST(KvStoreTest, LoadCorruptFileFails) {
-  std::string path = std::filesystem::temp_directory_path() / "focus_kv_corrupt.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "not a snapshot";
-  }
-  KvStore store;
-  store.Put("pre", "served");
-  auto result = store.LoadFromFile(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, common::ErrorCode::kIo);
-  // Failed load must not clobber existing contents.
-  EXPECT_EQ(store.Get("pre").value(), "served");
-  std::remove(path.c_str());
-}
-
-ClusterEntry MakeEntry(int64_t id, std::vector<common::ClassId> classes,
+ClusterEntry MakeEntry(std::vector<common::ClassId> classes,
                        std::vector<cluster::MemberRun> members) {
   ClusterEntry e;
-  e.cluster_id = id;
   e.topk_classes = std::move(classes);
   for (size_t i = 0; i < e.topk_classes.size(); ++i) {
     e.topk_ranks.push_back(static_cast<int32_t>(i) + 1);
@@ -101,109 +26,134 @@ ClusterEntry MakeEntry(int64_t id, std::vector<common::ClassId> classes,
   e.representative.object_id = e.members.empty() ? 0 : e.members[0].object;
   e.representative.frame = e.members.empty() ? 0 : e.members[0].first_frame;
   e.representative.true_class = e.topk_classes.empty() ? 0 : e.topk_classes[0];
+  e.representative.bbox = {1.0f, 2.0f, 3.0f, 4.0f};
+  e.representative.first_observation = true;
   e.representative.appearance = {1.0f, 0.0f, 0.5f};
   return e;
 }
 
-TEST(TopKIndexTest, PostingsMapClassesToClusters) {
-  TopKIndex index;
-  index.AddCluster(MakeEntry(0, {1, 2, 3}, {{10, 0, 5}}));
-  index.AddCluster(MakeEntry(1, {2, 4}, {{11, 3, 9}}));
+TopKIndex Build(const std::vector<ClusterEntry>& entries) {
+  IndexBuilder builder;
+  for (const ClusterEntry& e : entries) {
+    builder.Add(e);
+  }
+  return builder.Finish();
+}
+
+std::vector<uint32_t> Ids(std::span<const Posting> postings) {
+  std::vector<uint32_t> ids;
+  for (const Posting& p : postings) {
+    ids.push_back(p.cluster);
+  }
+  return ids;
+}
+
+TEST(TopKIndexTest, PostingsMapClassesToClustersInIdOrder) {
+  const TopKIndex index =
+      Build({MakeEntry({1, 2, 3}, {{10, 0, 5}}), MakeEntry({2, 4}, {{11, 3, 9}})});
+  const IndexView view = index.view();
   EXPECT_EQ(index.num_clusters(), 2u);
-  EXPECT_EQ(index.ClustersForClass(2).size(), 2u);
-  EXPECT_EQ(index.ClustersForClass(1).size(), 1u);
-  EXPECT_TRUE(index.ClustersForClass(99).empty());
-  auto classes = index.IndexedClasses();
-  EXPECT_EQ(classes.size(), 4u);
+  EXPECT_EQ(Ids(view.postings(2)), (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(Ids(view.postings(1)), (std::vector<uint32_t>{0}));
+  EXPECT_TRUE(view.postings(99).empty());
+  ASSERT_EQ(view.lists().size(), 4u);
+  EXPECT_EQ(view.lists()[0].cls, 1);
+  EXPECT_EQ(view.lists()[3].cls, 4);
 }
 
-TEST(TopKIndexTest, MatchesWithinUsesRankedPrefix) {
-  ClusterEntry e = MakeEntry(0, {7, 8, 9}, {{1, 0, 1}});
-  EXPECT_TRUE(e.MatchesWithin(7, 1));
-  EXPECT_FALSE(e.MatchesWithin(8, 1));
-  EXPECT_TRUE(e.MatchesWithin(8, 2));
-  EXPECT_TRUE(e.MatchesWithin(9, 100));  // kx beyond the list is clamped.
-  EXPECT_FALSE(e.MatchesWithin(99, 100));
+TEST(TopKIndexTest, PostingsCarryTheRankedPrefix) {
+  const TopKIndex index = Build({MakeEntry({7, 8, 9}, {{1, 0, 1}})});
+  const IndexView view = index.view();
+  EXPECT_EQ(view.postings(7)[0].rank, 1);
+  EXPECT_EQ(view.postings(8)[0].rank, 2);
+  EXPECT_EQ(view.postings(9)[0].rank, 3);
+  ASSERT_EQ(view.classes(0).size(), 3u);
+  EXPECT_EQ(view.classes(0)[1].cls, 8);
+  EXPECT_EQ(view.classes(0)[1].rank, 2);
 }
 
-TEST(TopKIndexTest, TotalsAndFrameCounts) {
-  TopKIndex index;
-  index.AddCluster(MakeEntry(0, {1}, {{10, 0, 4}, {11, 2, 3}}));
-  EXPECT_EQ(index.total_indexed_detections(), 7);
-  EXPECT_EQ(index.cluster(0).TotalFrameCount(), 7);
+TEST(TopKIndexTest, ClassesWithoutParallelRanksAreUnranked) {
+  ClusterEntry entry = MakeEntry({7, 8}, {{1, 0, 1}});
+  entry.topk_ranks = {1};  // Not parallel to the classes: rank 0 admits every Kx.
+  const TopKIndex index = Build({entry});
+  EXPECT_EQ(index.view().postings(7)[0].rank, 0);
+  EXPECT_EQ(index.view().postings(8)[0].rank, 0);
 }
 
-TEST(TopKIndexTest, KvStoreRoundTripPreservesEverything) {
-  TopKIndex index;
-  index.AddCluster(MakeEntry(0, {1, 2}, {{10, 0, 5}, {12, 8, 9}}));
-  index.AddCluster(MakeEntry(1, {3}, {{11, 3, 9}}));
-
-  KvStore store;
-  auto saved = index.SaveTo(store, "stream0");
-  ASSERT_TRUE(saved.ok());
-
-  TopKIndex loaded;
-  auto ok = loaded.LoadFrom(store, "stream0");
-  ASSERT_TRUE(ok.ok()) << ok.error().message;
-  ASSERT_EQ(loaded.num_clusters(), 2u);
-  EXPECT_EQ(loaded.ClustersForClass(2).size(), 1u);
-  const ClusterEntry& e = loaded.cluster(0);
-  EXPECT_EQ(e.members.size(), 2u);
-  EXPECT_EQ(e.members[1].object, 12);
-  EXPECT_EQ(e.topk_classes, (std::vector<common::ClassId>{1, 2}));
-  EXPECT_EQ(e.representative.appearance.size(), 3u);
-  EXPECT_EQ(e.size, 8);
-  EXPECT_EQ(loaded.total_indexed_detections(), index.total_indexed_detections());
+TEST(TopKIndexTest, DuplicateClassIsPostedOnceAtItsFirstOccurrence) {
+  ClusterEntry entry = MakeEntry({5, 3, 5}, {{1, 0, 1}});
+  entry.topk_ranks = {2, 1, 1};
+  const TopKIndex index = Build({MakeEntry({5}, {{2, 0, 1}}), entry});
+  const auto postings = index.view().postings(5);
+  ASSERT_EQ(postings.size(), 2u);
+  EXPECT_EQ(postings[1].cluster, 1u);
+  EXPECT_EQ(postings[1].rank, 2);
 }
 
-TEST(TopKIndexTest, LoadFromMissingPrefixFails) {
-  KvStore store;
-  TopKIndex index;
-  auto result = index.LoadFrom(store, "nope");
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, common::ErrorCode::kNotFound);
+TEST(TopKIndexTest, TotalsCentroidAndRuns) {
+  const TopKIndex index = Build({MakeEntry({1}, {{10, 0, 4}, {11, 2, 3}})});
+  const IndexView view = index.view();
+  EXPECT_EQ(view.total_detections(), 7);
+  ASSERT_EQ(view.runs(0).size(), 2u);
+  EXPECT_EQ(view.runs(0)[1].object, 11);
+  const video::Detection centroid = view.centroid(0);
+  EXPECT_EQ(centroid.object_id, 10);
+  EXPECT_EQ(centroid.true_class, 1);
+  EXPECT_FLOAT_EQ(centroid.bbox.h, 4.0f);
+  EXPECT_TRUE(centroid.first_observation);
+  EXPECT_FALSE(centroid.pixel_diff_suppressed);
+  EXPECT_TRUE(centroid.appearance.empty());  // The image keeps no appearance.
 }
 
-TEST(TopKIndexTest, MergeFromRenumbersAndShiftsFrames) {
-  TopKIndex day1;
-  day1.AddCluster(MakeEntry(0, {1, 2}, {{10, 0, 5}}));
-  day1.AddCluster(MakeEntry(1, {3}, {{11, 6, 9}}));
-
-  TopKIndex day2;
-  day2.AddCluster(MakeEntry(0, {2, 5}, {{20, 0, 4}}));
-
-  // Day 2's frames continue day 1's timeline at frame 1000.
-  day1.MergeFrom(std::move(day2), /*frame_offset=*/1000);
-
-  ASSERT_EQ(day1.num_clusters(), 3u);
-  const ClusterEntry& merged = day1.cluster(2);
-  EXPECT_EQ(merged.cluster_id, 2);  // Renumbered dense.
-  EXPECT_EQ(merged.members[0].first_frame, 1000);
-  EXPECT_EQ(merged.members[0].last_frame, 1004);
-  EXPECT_EQ(merged.representative.frame, 1000);
-
-  // Postings span both shards.
-  EXPECT_EQ(day1.ClustersForClass(2), (std::vector<int64_t>{0, 2}));
-  EXPECT_EQ(day1.ClustersForClass(5), (std::vector<int64_t>{2}));
-  EXPECT_EQ(day1.total_indexed_detections(), 6 + 4 + 5);
+TEST(TopKIndexTest, EmptyIndexIsAValidImage) {
+  const TopKIndex empty;
+  EXPECT_EQ(empty.num_clusters(), 0u);
+  EXPECT_TRUE(empty.view().postings(1).empty());
+  EXPECT_TRUE(IndexView::Open(empty.image()).ok());
 }
 
-TEST(TopKIndexTest, MergeFromEmptyIsNoop) {
-  TopKIndex index;
-  index.AddCluster(MakeEntry(0, {7}, {{1, 0, 3}}));
-  index.MergeFrom(TopKIndex{}, 500);
-  EXPECT_EQ(index.num_clusters(), 1u);
-  EXPECT_EQ(index.cluster(0).members[0].first_frame, 0);
+TEST(TopKIndexTest, CarriedRecordsReproduceTheImage) {
+  const TopKIndex prev =
+      Build({MakeEntry({1, 2}, {{10, 0, 5}}), MakeEntry({3}, {{11, 6, 9}, {12, 20, 22}})});
+  IndexBuilder carried;
+  carried.AddFrom(prev.view(), 0);
+  carried.AddFrom(prev.view(), 1);
+  EXPECT_EQ(carried.Finish().image(), prev.image());
+
+  // Mixed: carry cluster 1 first, then add a fresh entry; ids stay dense.
+  IndexBuilder mixed;
+  mixed.AddFrom(prev.view(), 1);
+  mixed.Add(MakeEntry({3, 4}, {{13, 30, 31}}));
+  const TopKIndex next = mixed.Finish();
+  EXPECT_EQ(Ids(next.view().postings(3)), (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(next.view().runs(0)[1].first_frame, 20);
+  EXPECT_EQ(next.view().total_detections(), 4 + 3 + 2);
 }
 
-TEST(TopKIndexTest, MergeIntoEmptyAdoptsEverything) {
-  TopKIndex empty;
-  TopKIndex shard;
-  shard.AddCluster(MakeEntry(0, {4}, {{2, 10, 12}}));
-  empty.MergeFrom(std::move(shard));
-  ASSERT_EQ(empty.num_clusters(), 1u);
-  EXPECT_EQ(empty.ClustersForClass(4).size(), 1u);
-  EXPECT_EQ(empty.cluster(0).members[0].first_frame, 10);  // Zero offset.
+TEST(TopKIndexTest, FromImageValidates) {
+  const TopKIndex index = Build({MakeEntry({1, 2}, {{10, 0, 5}})});
+  auto copy = TopKIndex::FromImage(index.image());
+  ASSERT_TRUE(copy.ok()) << copy.error().message;
+  EXPECT_EQ(copy->image(), index.image());
+
+  std::string torn = index.image();
+  torn[torn.size() / 2] ^= 0x10;
+  auto rejected = TopKIndex::FromImage(torn);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.error().code, common::ErrorCode::kDataLoss);
+}
+
+TEST(TopKIndexTest, OtherVersionIsAFailedPreconditionNamingBoth) {
+  std::string image = Build({MakeEntry({1}, {{10, 0, 5}})}).image();
+  const uint32_t version = kImageVersion + 1;
+  std::memcpy(image.data() + offsetof(ImageHeader, version), &version, sizeof(version));
+  auto opened = IndexView::Open(image);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.error().code, common::ErrorCode::kFailedPrecondition);
+  EXPECT_NE(opened.error().message.find("version " + std::to_string(version)),
+            std::string::npos);
+  EXPECT_NE(opened.error().message.find("version " + std::to_string(kImageVersion)),
+            std::string::npos);
 }
 
 }  // namespace

@@ -47,20 +47,7 @@ class IngestReplayTest : public ::testing::Test {
     EXPECT_EQ(a.suppressed, b.suppressed);
     EXPECT_DOUBLE_EQ(a.gpu_millis, b.gpu_millis);
     ASSERT_EQ(a.index.num_clusters(), b.index.num_clusters());
-    for (size_t i = 0; i < a.index.num_clusters(); ++i) {
-      const index::ClusterEntry& ca = a.index.clusters()[i];
-      const index::ClusterEntry& cb = b.index.clusters()[i];
-      EXPECT_EQ(ca.cluster_id, cb.cluster_id);
-      EXPECT_EQ(ca.size, cb.size);
-      EXPECT_EQ(ca.topk_classes, cb.topk_classes);
-      EXPECT_EQ(ca.topk_ranks, cb.topk_ranks);
-      ASSERT_EQ(ca.members.size(), cb.members.size());
-      for (size_t m = 0; m < ca.members.size(); ++m) {
-        EXPECT_EQ(ca.members[m].object, cb.members[m].object);
-        EXPECT_EQ(ca.members[m].first_frame, cb.members[m].first_frame);
-        EXPECT_EQ(ca.members[m].last_frame, cb.members[m].last_frame);
-      }
-    }
+    EXPECT_TRUE(a.index.image() == b.index.image()) << "index images differ";
   }
 
   static video::ClassCatalog* catalog_;

@@ -67,22 +67,7 @@ ClassifiedSample Truncate(const ClassifiedSample& sample, common::FrameIndex wat
 
 void ExpectSameIndex(const index::TopKIndex& a, const index::TopKIndex& b) {
   ASSERT_EQ(a.num_clusters(), b.num_clusters());
-  for (size_t i = 0; i < a.num_clusters(); ++i) {
-    const index::ClusterEntry& ea = a.clusters()[i];
-    const index::ClusterEntry& eb = b.clusters()[i];
-    EXPECT_EQ(ea.cluster_id, eb.cluster_id);
-    EXPECT_EQ(ea.size, eb.size);
-    EXPECT_EQ(ea.topk_classes, eb.topk_classes);
-    EXPECT_EQ(ea.topk_ranks, eb.topk_ranks);
-    EXPECT_EQ(ea.representative.object_id, eb.representative.object_id);
-    EXPECT_EQ(ea.representative.frame, eb.representative.frame);
-    ASSERT_EQ(ea.members.size(), eb.members.size()) << "cluster " << i;
-    for (size_t m = 0; m < ea.members.size(); ++m) {
-      EXPECT_EQ(ea.members[m].object, eb.members[m].object);
-      EXPECT_EQ(ea.members[m].first_frame, eb.members[m].first_frame);
-      EXPECT_EQ(ea.members[m].last_frame, eb.members[m].last_frame);
-    }
-  }
+  EXPECT_TRUE(a.image() == b.image()) << "index images differ";
 }
 
 TEST(SnapshotSlotTest, PublishStampsMonotoneEpochsAndSwapsLatest) {

@@ -80,9 +80,10 @@ struct QuerySpec {
 
 std::vector<QuerySpec> SpecsFor(const core::LiveSnapshot& snapshot) {
   std::set<common::ClassId> classes;
-  for (const auto& entry : snapshot.index.clusters()) {
-    for (common::ClassId c : entry.topk_classes) {
-      classes.insert(c);
+  const index::IndexView view = snapshot.index.view();
+  for (uint64_t id = 0; id < view.num_clusters(); ++id) {
+    for (const index::RankedClass& c : view.classes(id)) {
+      classes.insert(c.cls);
     }
     if (classes.size() >= 4) {
       break;

@@ -76,18 +76,23 @@ class QueryBatchTest : public ::testing::Test {
              : std::pair<common::FrameIndex, common::FrameIndex>{
                    0, std::numeric_limits<common::FrameIndex>::max()};
     std::vector<std::pair<common::FrameIndex, common::FrameIndex>> runs;
-    for (int64_t id : ingest_->index.ClustersForClass(lookup)) {
-      const index::ClusterEntry& entry = ingest_->index.cluster(id);
-      if (kx > 0 && !entry.MatchesWithin(lookup, kx)) {
+    const index::IndexView view = ingest_->index.view();
+    for (const index::Posting& posting : view.postings(lookup)) {
+      const uint64_t id = posting.cluster;
+      // Kx filter from the cluster's own ranked class list.
+      const auto classes = view.classes(id);
+      const auto ranked = std::find_if(classes.begin(), classes.end(),
+                                       [&](const index::RankedClass& c) { return c.cls == lookup; });
+      if (kx > 0 && (ranked == classes.end() || ranked->rank > kx)) {
         continue;
       }
       ++result.centroids_classified;
       result.gpu_millis += gt_->inference_cost_millis();
-      if (gt_->Top1(entry.representative) != cls) {
+      if (gt_->Top1(view.centroid(id)) != cls) {
         continue;
       }
       ++result.clusters_matched;
-      for (const cluster::MemberRun& run : entry.members) {
+      for (const cluster::MemberRun& run : view.runs(id)) {
         const common::FrameIndex first = std::max(run.first_frame, range_first);
         const common::FrameIndex last = std::min(run.last_frame, range_last);
         if (first > last) {

@@ -159,20 +159,28 @@ TEST_P(QueryProperty, SessionAtFullKMatchesEngineForEveryClass) {
 
 TEST_P(QueryProperty, PostingListsAgreeWithClusterContents) {
   const StreamFixture& f = FixtureFor(GetParam());
-  const index::TopKIndex& idx = f.ingest.index;
-  for (common::ClassId cls : idx.IndexedClasses()) {
-    for (int64_t id : idx.ClustersForClass(cls)) {
-      // Every posting points at a cluster that really lists the class.
-      const index::ClusterEntry& entry = idx.cluster(id);
-      EXPECT_TRUE(entry.MatchesWithin(cls, kIndexK))
-          << "posting for class " << cls << " -> cluster " << id << " is stale";
+  const index::IndexView idx = f.ingest.index.view();
+  for (const index::PostingList& list : idx.lists()) {
+    for (const index::Posting& posting : idx.postings(list.cls)) {
+      // Every posting points at a cluster that really lists the class, at its rank.
+      const auto classes = idx.classes(posting.cluster);
+      EXPECT_NE(std::find_if(classes.begin(), classes.end(),
+                             [&](const index::RankedClass& c) {
+                               return c.cls == list.cls && c.rank == posting.rank &&
+                                      c.rank <= kIndexK;
+                             }),
+                classes.end())
+          << "posting for class " << list.cls << " -> cluster " << posting.cluster
+          << " is stale";
     }
   }
   // And the reverse: every cluster's classes appear in the postings.
-  for (const index::ClusterEntry& entry : idx.clusters()) {
-    for (common::ClassId cls : entry.topk_classes) {
-      const std::vector<int64_t>& postings = idx.ClustersForClass(cls);
-      EXPECT_NE(std::find(postings.begin(), postings.end(), entry.cluster_id), postings.end());
+  for (uint64_t id = 0; id < idx.num_clusters(); ++id) {
+    for (const index::RankedClass& ranked : idx.classes(id)) {
+      const auto postings = idx.postings(ranked.cls);
+      EXPECT_NE(std::find_if(postings.begin(), postings.end(),
+                             [&](const index::Posting& p) { return p.cluster == id; }),
+                postings.end());
     }
   }
 }

@@ -458,7 +458,7 @@ TEST_F(RuntimeServiceTest, ShardedIngestMatchesSequentialAccounting) {
   EXPECT_EQ(summary.reports[0].result.suppressed, direct.suppressed);
   EXPECT_DOUBLE_EQ(summary.reports[0].result.gpu_millis, direct.gpu_millis);
   EXPECT_GT(summary.reports[0].result.num_clusters, 0);
-  EXPECT_EQ(summary.reports[0].result.index.total_indexed_detections(), direct.detections);
+  EXPECT_EQ(summary.reports[0].result.index.view().total_detections(), direct.detections);
 }
 
 TEST_F(RuntimeServiceTest, ParallelIngestOfClonedStreamsIsDeterministic) {

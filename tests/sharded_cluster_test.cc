@@ -231,12 +231,10 @@ void RecordRanks(const core::ClassifiedDetection& entry, size_t width, int64_t i
 
 // One index entry per cluster of |table| (ascending id; the index numbers
 // entries by slot), classes sorted by (best rank, class id).
-std::vector<index::ClusterEntry> ReferenceEntries(const std::vector<Cluster>& table,
-                                                  BestRanks& best_rank) {
-  std::vector<index::ClusterEntry> entries;
+index::TopKIndex ReferenceIndex(const std::vector<Cluster>& table, BestRanks& best_rank) {
+  index::IndexBuilder builder;
   for (const Cluster& c : table) {
     index::ClusterEntry entry;
-    entry.cluster_id = static_cast<int64_t>(entries.size());
     entry.representative = c.representative;
     entry.members = c.members;
     entry.size = c.size;
@@ -249,18 +247,18 @@ std::vector<index::ClusterEntry> ReferenceEntries(const std::vector<Cluster>& ta
       entry.topk_classes.push_back(cls);
       entry.topk_ranks.push_back(rank);
     }
-    entries.push_back(std::move(entry));
+    builder.Add(entry);
   }
-  return entries;
+  return builder.Finish();
 }
 
 // The sequential reference the engine must reproduce at one shard, written
 // here so it stays independent of the pipeline: a lone IncrementalClusterer
 // fed in stream order (AddSuppressed for reused detections) plus a
 // per-cluster min-rank map.
-std::vector<index::ClusterEntry> SequentialReference(const core::ClassifiedSample& sample,
-                                                     const core::IngestParams& params,
-                                                     ClustererOptions::Mode mode) {
+index::TopKIndex SequentialReference(const core::ClassifiedSample& sample,
+                                     const core::IngestParams& params,
+                                     ClustererOptions::Mode mode) {
   ClustererOptions base;
   base.threshold = params.cluster_threshold;
   base.mode = mode;
@@ -273,28 +271,12 @@ std::vector<index::ClusterEntry> SequentialReference(const core::ClassifiedSampl
                                     : clusterer.Add(entry.detection, entry.feature);
     RecordRanks(entry, width, id, &best_rank);
   }
-  return ReferenceEntries(clusterer.clusters(), best_rank);
+  return ReferenceIndex(clusterer.clusters(), best_rank);
 }
 
-void ExpectIndexEquals(const std::vector<index::ClusterEntry>& want,
-                       const index::TopKIndex& got) {
-  ASSERT_EQ(got.num_clusters(), want.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    const index::ClusterEntry& a = want[i];
-    const index::ClusterEntry& b = got.clusters()[i];
-    EXPECT_EQ(b.cluster_id, a.cluster_id);
-    EXPECT_EQ(b.size, a.size);
-    EXPECT_EQ(b.representative.object_id, a.representative.object_id);
-    EXPECT_EQ(b.representative.frame, a.representative.frame);
-    EXPECT_EQ(b.topk_classes, a.topk_classes);
-    EXPECT_EQ(b.topk_ranks, a.topk_ranks);
-    ASSERT_EQ(b.members.size(), a.members.size());
-    for (size_t m = 0; m < a.members.size(); ++m) {
-      EXPECT_EQ(b.members[m].object, a.members[m].object);
-      EXPECT_EQ(b.members[m].first_frame, a.members[m].first_frame);
-      EXPECT_EQ(b.members[m].last_frame, a.members[m].last_frame);
-    }
-  }
+void ExpectIndexEquals(const index::TopKIndex& want, const index::TopKIndex& got) {
+  ASSERT_EQ(got.num_clusters(), want.num_clusters());
+  EXPECT_TRUE(got.image() == want.image()) << "index images differ";
 }
 
 TEST(ShardedIngestPipelineTest, SingleShardMatchesSequentialReference) {
@@ -322,10 +304,10 @@ TEST(ShardedIngestPipelineTest, SingleShardMatchesSequentialReference) {
       const core::IngestResult got = core::RunIngestClassified(sample, params, options);
       EXPECT_EQ(epochs > 0, every > 0);
 
-      const std::vector<index::ClusterEntry> want = SequentialReference(sample, params, mode);
+      const index::TopKIndex want = SequentialReference(sample, params, mode);
       EXPECT_EQ(got.detections, static_cast<int64_t>(sample.detections.size()));
       EXPECT_EQ(got.suppressed, sample.suppressed);
-      EXPECT_EQ(got.num_clusters, static_cast<int64_t>(want.size()));
+      EXPECT_EQ(got.num_clusters, static_cast<int64_t>(want.num_clusters()));
       ExpectIndexEquals(want, got.index);
     }
   }
@@ -364,7 +346,7 @@ TEST(ShardedIngestPipelineTest, MultiShardIndexMatchesFinalizeClusters) {
     for (size_t i = 0; i < sample.detections.size(); ++i) {
       RecordRanks(sample.detections[i], 3, reference.CanonicalOf(raw_ids[i]), &best_rank);
     }
-    ExpectIndexEquals(ReferenceEntries(table, best_rank), got.index);
+    ExpectIndexEquals(ReferenceIndex(table, best_rank), got.index);
   }
 }
 
@@ -392,15 +374,7 @@ TEST(ShardedIngestPipelineTest, CallerSuppliedPoolMatchesPerCallPool) {
         core::RunIngestClassified(sample, params, options, nullptr, &pool);
     EXPECT_EQ(reused.detections, per_call.detections);
     EXPECT_EQ(reused.num_clusters, per_call.num_clusters);
-    ASSERT_EQ(reused.index.num_clusters(), per_call.index.num_clusters());
-    for (size_t i = 0; i < per_call.index.num_clusters(); ++i) {
-      const index::ClusterEntry& a = per_call.index.clusters()[i];
-      const index::ClusterEntry& b = reused.index.clusters()[i];
-      EXPECT_EQ(b.cluster_id, a.cluster_id);
-      EXPECT_EQ(b.size, a.size);
-      EXPECT_EQ(b.topk_classes, a.topk_classes);
-      EXPECT_EQ(b.topk_ranks, a.topk_ranks);
-    }
+    ExpectIndexEquals(per_call.index, reused.index);
   }
   pool.Shutdown();
 }
@@ -485,16 +459,13 @@ TEST(ShardedIngestPipelineTest, FourShardsConserveIndexedDetections) {
 
   const core::IngestResult result = core::RunIngestClassified(sample, params, options);
   EXPECT_EQ(result.detections, static_cast<int64_t>(sample.detections.size()));
-  EXPECT_EQ(result.index.total_indexed_detections(), result.detections);
+  EXPECT_EQ(result.index.view().total_detections(), result.detections);
   EXPECT_GT(result.num_clusters, 0);
 
   // Deterministic under re-run (same sample, same sharding).
   const core::IngestResult again = core::RunIngestClassified(sample, params, options);
   EXPECT_EQ(again.num_clusters, result.num_clusters);
-  ASSERT_EQ(again.index.num_clusters(), result.index.num_clusters());
-  for (size_t i = 0; i < result.index.num_clusters(); ++i) {
-    EXPECT_EQ(again.index.clusters()[i].size, result.index.clusters()[i].size);
-  }
+  ExpectIndexEquals(result.index, again.index);
 }
 
 TEST(ShardedIngestPipelineTest, ScratchClustererResetMatchesFreshRun) {
@@ -520,16 +491,7 @@ TEST(ShardedIngestPipelineTest, ScratchClustererResetMatchesFreshRun) {
           core::RunIngestClassified(sample, params, options, &scratch);
       EXPECT_EQ(reused.num_clusters, fresh.num_clusters);
       EXPECT_DOUBLE_EQ(reused.clusterer_fast_hit_rate, fresh.clusterer_fast_hit_rate);
-      ASSERT_EQ(reused.index.num_clusters(), fresh.index.num_clusters());
-      for (size_t i = 0; i < fresh.index.num_clusters(); ++i) {
-        const index::ClusterEntry& a = fresh.index.clusters()[i];
-        const index::ClusterEntry& b = reused.index.clusters()[i];
-        EXPECT_EQ(b.cluster_id, a.cluster_id);
-        EXPECT_EQ(b.size, a.size);
-        EXPECT_EQ(b.members.size(), a.members.size());
-        EXPECT_EQ(b.topk_classes, a.topk_classes);
-        EXPECT_EQ(b.topk_ranks, a.topk_ranks);
-      }
+      ExpectIndexEquals(fresh.index, reused.index);
     }
   }
 }

@@ -14,12 +14,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -83,9 +85,10 @@ struct QuerySpec {
 
 std::vector<QuerySpec> SpecsFor(const core::LiveSnapshot& snapshot) {
   std::set<common::ClassId> classes;
-  for (const auto& entry : snapshot.index.clusters()) {
-    for (common::ClassId c : entry.topk_classes) {
-      classes.insert(c);
+  const index::IndexView view = snapshot.index.view();
+  for (uint64_t id = 0; id < view.num_clusters(); ++id) {
+    for (const index::RankedClass& c : view.classes(id)) {
+      classes.insert(c.cls);
     }
     if (classes.size() >= 6) {
       break;
@@ -277,25 +280,11 @@ TEST(ShmEpochPlaneTest, PublishAttachRoundtripsHeaderAndStats) {
             static_cast<int64_t>(snapshots.size()));
   EXPECT_EQ(metrics.counter("shm.reader_attaches"), 1);
 
-  // The flattened sections mirror the canonical index exactly.
-  const auto& clusters = last.index.clusters();
-  ASSERT_EQ(view->num_clusters(), clusters.size());
-  for (size_t i = 0; i < clusters.size(); ++i) {
-    const ShmClusterRecord& rec = view->clusters()[i];
-    EXPECT_EQ(rec.cluster_id, clusters[i].cluster_id);
-    EXPECT_EQ(rec.size, clusters[i].size);
-    EXPECT_EQ(static_cast<size_t>(rec.members_count), clusters[i].members.size());
-    EXPECT_EQ(static_cast<size_t>(rec.classes_count), clusters[i].topk_classes.size());
-    for (size_t m = 0; m < clusters[i].members.size(); ++m) {
-      const ShmMemberRun& run = view->members()[rec.members_begin + m];
-      EXPECT_EQ(run.object, clusters[i].members[m].object);
-      EXPECT_EQ(run.first_frame, clusters[i].members[m].first_frame);
-      EXPECT_EQ(run.last_frame, clusters[i].members[m].last_frame);
-    }
-    for (size_t c = 0; c < clusters[i].topk_classes.size(); ++c) {
-      EXPECT_EQ(view->classes()[rec.classes_begin + c], clusters[i].topk_classes[c]);
-    }
-  }
+  // The region holds the snapshot's index image, byte for byte.
+  const std::span<const char> mapped = view->index().bytes();
+  EXPECT_TRUE(std::equal(mapped.begin(), mapped.end(), last.index.image().begin(),
+                         last.index.image().end()));
+  EXPECT_EQ(view->header().payload_crc, last.index.view().crc());
 }
 
 // The identity property, in-process half: every published epoch answers the
@@ -681,7 +670,9 @@ TEST(ShmEpochPlaneTest, GrowingPayloadsCompactAbandonedSpansInsteadOfLeaking) {
     }
     entry.topk_classes = {1, 2};
     entry.topk_ranks = {1, 2};
-    snap.index.AddCluster(std::move(entry));
+    index::IndexBuilder builder;
+    builder.Add(entry);
+    snap.index = builder.Finish();
     return snap;
   };
 
@@ -707,16 +698,98 @@ TEST(ShmEpochPlaneTest, GrowingPayloadsCompactAbandonedSpansInsteadOfLeaking) {
   ASSERT_TRUE(view.ok()) << view.error().message;
   EXPECT_EQ(view->epoch(), static_cast<uint64_t>(kEpochs));
   ASSERT_EQ(view->num_clusters(), 1u);
-  const ShmClusterRecord& rec = view->clusters()[0];
+  const std::span<const cluster::MemberRun> runs = view->index().runs(0);
   const size_t final_members = kBaseMembers + kStride * kEpochs;
-  ASSERT_EQ(static_cast<size_t>(rec.members_count), final_members);
+  ASSERT_EQ(runs.size(), final_members);
   for (size_t m : {size_t{0}, final_members / 2, final_members - 1}) {
-    const ShmMemberRun& run = view->members()[rec.members_begin + m];
+    const cluster::MemberRun& run = runs[m];
     EXPECT_EQ(run.object, static_cast<common::ObjectId>(m));
     EXPECT_EQ(run.first_frame, static_cast<common::FrameIndex>(2 * m));
     EXPECT_EQ(run.last_frame, static_cast<common::FrameIndex>(2 * m + 1));
   }
   EXPECT_TRUE(view->StillValid());
+}
+
+// A class one cluster lists twice is posted once, at its first occurrence's
+// rank, and the mapped view plans exactly what the in-process engine plans.
+TEST(ShmEpochPlaneTest, DuplicateClassPostedOnceAtFirstOccurrence) {
+  const std::string name = SegmentName("dup_class");
+  EpochPublisher::Options options;
+  options.provenance = Provenance();
+  auto publisher = EpochPublisher::Create(name, options);
+  ASSERT_TRUE(publisher.ok()) << publisher.error().message;
+  (*publisher)->UnlinkOnDestroy(true);
+
+  constexpr common::ClassId kDup = 5;
+  core::LiveSnapshot snap;
+  snap.epoch = 1;
+  snap.watermark = 100;
+  snap.fps = 30.0;
+  index::ClusterEntry entry;
+  entry.size = 1;
+  entry.members = {{7, 10, 20}};
+  entry.representative.object_id = 7;
+  entry.representative.frame = 10;
+  entry.representative.true_class = kDup;
+  entry.topk_classes = {kDup, 3, kDup};
+  entry.topk_ranks = {2, 1, 1};
+  index::IndexBuilder builder;
+  builder.Add(entry);
+  snap.index = builder.Finish();
+  ASSERT_TRUE((*publisher)->Publish(snap).ok());
+
+  const auto postings = snap.index.view().postings(kDup);
+  ASSERT_EQ(postings.size(), 1u);
+  EXPECT_EQ(postings[0].cluster, 0u);
+  EXPECT_EQ(postings[0].rank, 2);
+
+  const video::ClassCatalog catalog(23);
+  const cnn::Cnn cheap(Params().model, &catalog);
+  const cnn::Cnn gt(cnn::GtCnnDesc(23), &catalog);
+  const core::QueryEngine engine(&snap.index, &cheap, &gt);
+  auto reader = ShmSnapshotReader::Attach(name);
+  ASSERT_TRUE(reader.ok()) << reader.error().message;
+  auto view = (*reader)->Acquire();
+  ASSERT_TRUE(view.ok()) << view.error().message;
+  for (int kx : {-1, 1, 2}) {
+    SCOPED_TRACE("kx=" + std::to_string(kx));
+    const size_t want = kx == 1 ? 0u : 1u;
+    EXPECT_EQ(engine.Plan(kDup, kx, {}, snap.fps).work.size(), want);
+    EXPECT_EQ(view->Plan(kDup, kx, {}, cheap).work.size(), want);
+    ExpectSameResult(engine.Query(kDup, kx, {}, snap.fps), view->Query(kDup, kx, {}, cheap, gt));
+  }
+}
+
+// A reader validates each new generation's image once: a corrupted region is
+// a typed error, never a view over bad bytes.
+TEST(ShmEpochPlaneTest, CorruptImageIsATypedErrorOnAcquire) {
+  const std::string name = SegmentName("corrupt_image");
+  EpochPublisher::Options options;
+  options.provenance = Provenance();
+  auto publisher = EpochPublisher::Create(name, options);
+  ASSERT_TRUE(publisher.ok()) << publisher.error().message;
+  (*publisher)->UnlinkOnDestroy(true);
+  const auto snapshots = PublishRun(publisher->get(), /*duration_sec=*/4.0, /*seed=*/31);
+  ASSERT_FALSE(snapshots.empty());
+
+  uint64_t region_offset = 0;
+  {
+    auto reader = ShmSnapshotReader::Attach(name);
+    ASSERT_TRUE(reader.ok()) << reader.error().message;
+    auto view = (*reader)->Acquire();
+    ASSERT_TRUE(view.ok()) << view.error().message;
+    region_offset = view->header().region_offset;
+  }
+  auto raw = SharedSegment::Open(name);
+  ASSERT_TRUE(raw.ok());
+  // A bit pattern inside the first cluster record.
+  (*raw)->bytes()[region_offset + 2 * index::kImageAlign + 3] ^= '\x5A';
+
+  auto reader = ShmSnapshotReader::Attach(name);
+  ASSERT_TRUE(reader.ok()) << reader.error().message;
+  auto view = (*reader)->Acquire();
+  ASSERT_FALSE(view.ok());
+  EXPECT_EQ(view.error().code, common::ErrorCode::kDataLoss) << view.error().message;
 }
 
 TEST(WorkerProcessPoolTest, EchoKillAndSiblingIsolation) {

@@ -10,7 +10,7 @@
 #include <string>
 
 #include "src/index/topk_index.h"
-#include "src/storage/index_codec.h"
+#include "src/storage/index_file.h"
 #include "src/storage/record_log.h"
 #include "src/storage/serializer.h"
 #include "src/storage/snapshot_store.h"
@@ -157,6 +157,24 @@ TEST(SerializerTest, Crc32MatchesKnownVector) {
   // Standard check value for the IEEE polynomial.
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0u);
+  // Chaining over any split equals one pass: the eight-byte steps and the
+  // byte tail agree at every alignment.
+  std::string data(1000, '\0');
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>(i * 131 + 7);
+  }
+  uint32_t bitwise = 0xFFFFFFFFu;  // Reference: one bit at a time.
+  for (char c : data) {
+    bitwise ^= static_cast<uint8_t>(c);
+    for (int bit = 0; bit < 8; ++bit) {
+      bitwise = (bitwise >> 1) ^ ((bitwise & 1) != 0 ? 0xEDB88320u : 0u);
+    }
+  }
+  EXPECT_EQ(Crc32(data), ~bitwise);
+  const std::string_view all(data);
+  for (size_t split : {size_t{1}, size_t{7}, size_t{8}, size_t{13}, size_t{999}}) {
+    EXPECT_EQ(Crc32(all.substr(split), Crc32(all.substr(0, split))), Crc32(all)) << split;
+  }
 }
 
 TEST(SerializerTest, Crc32DetectsSingleBitFlip) {
@@ -166,129 +184,134 @@ TEST(SerializerTest, Crc32DetectsSingleBitFlip) {
   EXPECT_NE(Crc32(data), clean);
 }
 
-// --- Index codec ---
+// --- Index file ---
 
 index::TopKIndex MakeSmallIndex() {
-  index::TopKIndex idx;
+  index::IndexBuilder builder;
   for (int64_t c = 0; c < 3; ++c) {
     index::ClusterEntry entry;
-    entry.cluster_id = c;
     entry.size = 10 * (c + 1);
     entry.representative.frame = 100 * c;
     entry.representative.object_id = 7 + c;
     entry.representative.bbox = {1.0f, 2.0f, 14.0f, 14.0f};
     entry.representative.true_class = static_cast<common::ClassId>(42 + c);
-    entry.representative.appearance = {0.5f, -0.25f, 0.125f};
     entry.members.push_back({7 + c, 100 * c, 100 * c + 30});
     entry.topk_classes = {static_cast<common::ClassId>(42 + c),
                           static_cast<common::ClassId>(142 + c)};
     entry.topk_ranks = {1, 3};
-    idx.AddCluster(std::move(entry));
+    builder.Add(entry);
   }
-  return idx;
+  return builder.Finish();
 }
 
-TEST(IndexCodecTest, RoundTripPreservesEverything) {
-  index::TopKIndex original = MakeSmallIndex();
-  IndexSnapshotHeader header;
-  header.stream_name = "auburn_c";
-  header.model_name = "spec12_px56";
-  header.k = 4;
-  header.cluster_threshold = 0.6;
-  header.world_seed = 42;
-  header.fps = 10.0;
-  header.model.name = "spec12_px56";
-  header.model.layers = 12;
-  header.model.input_px = 56;
-  header.model.classes = {3, 9, 27};
-  header.model.has_other_class = true;
-  header.model.training_variability = 0.55;
-  header.model.weights_seed = 77;
+std::string WrittenIndexFile(const std::string& name) {
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(WriteIndexFile(path, IndexFileMeta{}, MakeSmallIndex()).ok());
+  auto bytes = ReadFile(path);
+  EXPECT_TRUE(bytes.ok());
+  return bytes.ok() ? *bytes : std::string();
+}
 
-  std::string blob = EncodeIndexSnapshot(header, original);
-  IndexSnapshotHeader decoded_header;
-  index::TopKIndex decoded;
-  auto result = DecodeIndexSnapshot(blob, &decoded_header, &decoded);
-  ASSERT_TRUE(result.ok()) << result.error().message;
+TEST(IndexFileTest, RoundTripPreservesEverything) {
+  const index::TopKIndex original = MakeSmallIndex();
+  IndexFileMeta meta;
+  meta.stream_name = "auburn_c";
+  meta.k = 4;
+  meta.cluster_threshold = 0.6;
+  meta.world_seed = 42;
+  meta.fps = 10.0;
+  meta.model.name = "spec12_px56";
+  meta.model.layers = 12;
+  meta.model.input_px = 56;
+  meta.model.classes = {3, 9, 27};
+  meta.model.has_other_class = true;
+  meta.model.training_variability = 0.55;
+  meta.model.weights_seed = 77;
 
-  EXPECT_EQ(decoded_header.stream_name, "auburn_c");
-  EXPECT_EQ(decoded_header.model_name, "spec12_px56");
-  EXPECT_EQ(decoded_header.k, 4);
-  EXPECT_DOUBLE_EQ(decoded_header.cluster_threshold, 0.6);
-  EXPECT_EQ(decoded_header.world_seed, 42u);
-  EXPECT_DOUBLE_EQ(decoded_header.fps, 10.0);
-  EXPECT_EQ(decoded_header.model.name, "spec12_px56");
-  EXPECT_EQ(decoded_header.model.layers, 12);
-  EXPECT_EQ(decoded_header.model.input_px, 56);
-  EXPECT_EQ(decoded_header.model.classes, (std::vector<common::ClassId>{3, 9, 27}));
-  EXPECT_TRUE(decoded_header.model.has_other_class);
-  EXPECT_DOUBLE_EQ(decoded_header.model.training_variability, 0.55);
-  EXPECT_EQ(decoded_header.model.weights_seed, 77u);
+  const std::string path = TempPath("index_roundtrip.idx");
+  ASSERT_TRUE(WriteIndexFile(path, meta, original).ok());
+  auto loaded = ReadIndexFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+  std::filesystem::remove(path);
 
-  ASSERT_EQ(decoded.num_clusters(), original.num_clusters());
-  for (size_t i = 0; i < original.num_clusters(); ++i) {
-    const index::ClusterEntry& a = original.clusters()[i];
-    const index::ClusterEntry& b = decoded.clusters()[i];
-    EXPECT_EQ(a.cluster_id, b.cluster_id);
-    EXPECT_EQ(a.size, b.size);
-    EXPECT_EQ(a.representative.frame, b.representative.frame);
-    EXPECT_EQ(a.representative.object_id, b.representative.object_id);
-    EXPECT_EQ(a.representative.appearance, b.representative.appearance);
-    ASSERT_EQ(a.members.size(), b.members.size());
-    EXPECT_EQ(a.members[0].first_frame, b.members[0].first_frame);
-    EXPECT_EQ(a.topk_classes, b.topk_classes);
-    EXPECT_EQ(a.topk_ranks, b.topk_ranks);
+  const IndexFileMeta& got = loaded->meta;
+  EXPECT_EQ(got.stream_name, "auburn_c");
+  EXPECT_EQ(got.k, 4);
+  EXPECT_DOUBLE_EQ(got.cluster_threshold, 0.6);
+  EXPECT_EQ(got.world_seed, 42u);
+  EXPECT_DOUBLE_EQ(got.fps, 10.0);
+  EXPECT_EQ(got.model.name, "spec12_px56");
+  EXPECT_EQ(got.model.layers, 12);
+  EXPECT_EQ(got.model.input_px, 56);
+  EXPECT_EQ(got.model.classes, (std::vector<common::ClassId>{3, 9, 27}));
+  EXPECT_TRUE(got.model.has_other_class);
+  EXPECT_DOUBLE_EQ(got.model.training_variability, 0.55);
+  EXPECT_EQ(got.model.weights_seed, 77u);
+
+  // The file carries the image itself: same bytes, same postings.
+  EXPECT_EQ(loaded->index.image(), original.image());
+  const index::IndexView view = loaded->index.view();
+  ASSERT_EQ(view.num_clusters(), 3u);
+  EXPECT_EQ(view.centroid(1).object_id, 8);
+  EXPECT_EQ(view.runs(2)[0].first_frame, 200);
+  EXPECT_EQ(view.postings(42).size(), 1u);
+  EXPECT_EQ(view.postings(143).size(), 1u);
+  EXPECT_EQ(view.postings(143)[0].rank, 3);
+}
+
+TEST(IndexFileTest, EmptyIndexRoundTrips) {
+  const std::string path = TempPath("index_empty.idx");
+  ASSERT_TRUE(WriteIndexFile(path, IndexFileMeta{}, index::TopKIndex()).ok());
+  auto loaded = ReadIndexFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+  EXPECT_EQ(loaded->index.num_clusters(), 0u);
+  std::filesystem::remove(path);
+}
+
+TEST(IndexFileTest, RejectsCorruptedByteInMetadataOrImage) {
+  const std::string clean = WrittenIndexFile("index_corrupt.idx");
+  const std::string path = TempPath("index_corrupt.idx");
+  for (const size_t pos : {size_t{14}, clean.size() / 2, clean.size() - 1}) {
+    std::string blob = clean;
+    blob[pos] = static_cast<char>(blob[pos] ^ 0x40);
+    ASSERT_TRUE(WriteFileAtomic(path, blob).ok());
+    auto loaded = ReadIndexFile(path);
+    ASSERT_FALSE(loaded.ok()) << "flip at byte " << pos;
+    EXPECT_EQ(loaded.error().code, common::ErrorCode::kDataLoss) << loaded.error().message;
   }
-  // Postings survive the rebuild.
-  EXPECT_EQ(decoded.ClustersForClass(42).size(), 1u);
-  EXPECT_EQ(decoded.ClustersForClass(143).size(), 1u);
+  std::filesystem::remove(path);
 }
 
-TEST(IndexCodecTest, EmptyIndexRoundTrips) {
-  index::TopKIndex empty;
-  std::string blob = EncodeIndexSnapshot(IndexSnapshotHeader{}, empty);
-  IndexSnapshotHeader header;
-  index::TopKIndex decoded;
-  ASSERT_TRUE(DecodeIndexSnapshot(blob, &header, &decoded).ok());
-  EXPECT_EQ(decoded.num_clusters(), 0u);
+TEST(IndexFileTest, RejectsTruncationAndEmptyFile) {
+  const std::string clean = WrittenIndexFile("index_truncated.idx");
+  const std::string path = TempPath("index_truncated.idx");
+  for (const size_t keep : {size_t{0}, size_t{11}, clean.size() - 7}) {
+    ASSERT_TRUE(WriteFileAtomic(path, clean.substr(0, keep)).ok());
+    EXPECT_FALSE(ReadIndexFile(path).ok()) << "kept " << keep << " bytes";
+  }
+  std::filesystem::remove(path);
 }
 
-TEST(IndexCodecTest, RejectsCorruptedByte) {
-  std::string blob = EncodeIndexSnapshot(IndexSnapshotHeader{}, MakeSmallIndex());
-  blob[blob.size() / 2] = static_cast<char>(blob[blob.size() / 2] ^ 0x40);
-  IndexSnapshotHeader header;
-  index::TopKIndex decoded;
-  EXPECT_FALSE(DecodeIndexSnapshot(blob, &header, &decoded).ok());
-}
-
-TEST(IndexCodecTest, RejectsTruncation) {
-  std::string blob = EncodeIndexSnapshot(IndexSnapshotHeader{}, MakeSmallIndex());
-  blob.resize(blob.size() - 7);
-  IndexSnapshotHeader header;
-  index::TopKIndex decoded;
-  EXPECT_FALSE(DecodeIndexSnapshot(blob, &header, &decoded).ok());
-}
-
-TEST(IndexCodecTest, RejectsBadMagicEvenWithValidCrc) {
-  std::string blob = EncodeIndexSnapshot(IndexSnapshotHeader{}, MakeSmallIndex());
-  // Flip the magic, then re-stamp the CRC so only the magic check can object.
+TEST(IndexFileTest, RejectsBadMagicAndNamesBothVersions) {
+  const std::string clean = WrittenIndexFile("index_magic.idx");
+  const std::string path = TempPath("index_magic.idx");
+  std::string blob = clean;
   blob[0] = 'X';
-  const std::string_view body(blob.data(), blob.size() - 4);
-  uint32_t crc = Crc32(body);
-  for (int i = 0; i < 4; ++i) {
-    blob[blob.size() - 4 + static_cast<size_t>(i)] = static_cast<char>((crc >> (8 * i)) & 0xFF);
-  }
-  IndexSnapshotHeader header;
-  index::TopKIndex decoded;
-  auto result = DecodeIndexSnapshot(blob, &header, &decoded);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.error().message.find("magic"), std::string::npos);
-}
+  ASSERT_TRUE(WriteFileAtomic(path, blob).ok());
+  auto loaded = ReadIndexFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.error().message.find("magic"), std::string::npos);
 
-TEST(IndexCodecTest, RejectsEmptyBlob) {
-  IndexSnapshotHeader header;
-  index::TopKIndex decoded;
-  EXPECT_FALSE(DecodeIndexSnapshot("", &header, &decoded).ok());
+  blob = clean;
+  blob[8] = static_cast<char>(kIndexFileVersion + 6);  // Version field, little-endian.
+  ASSERT_TRUE(WriteFileAtomic(path, blob).ok());
+  loaded = ReadIndexFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error().code, common::ErrorCode::kFailedPrecondition);
+  EXPECT_NE(loaded.error().message.find(std::to_string(kIndexFileVersion + 6)),
+            std::string::npos);
+  EXPECT_NE(loaded.error().message.find(std::to_string(kIndexFileVersion)), std::string::npos);
+  std::filesystem::remove(path);
 }
 
 // --- Snapshot store ---
@@ -318,19 +341,6 @@ TEST(SnapshotStoreTest, OverwriteReplacesAtomically) {
 TEST(SnapshotStoreTest, ReadMissingFileFails) {
   EXPECT_FALSE(ReadFile(TempPath("does_not_exist.bin")).ok());
   EXPECT_FALSE(FileExists(TempPath("does_not_exist.bin")));
-}
-
-TEST(SnapshotStoreTest, IndexSnapshotSurvivesDiskRoundTrip) {
-  const std::string path = TempPath("index_snap.bin");
-  index::TopKIndex original = MakeSmallIndex();
-  ASSERT_TRUE(WriteFileAtomic(path, EncodeIndexSnapshot(IndexSnapshotHeader{}, original)).ok());
-  auto blob = ReadFile(path);
-  ASSERT_TRUE(blob.ok());
-  IndexSnapshotHeader header;
-  index::TopKIndex decoded;
-  ASSERT_TRUE(DecodeIndexSnapshot(*blob, &header, &decoded).ok());
-  EXPECT_EQ(decoded.num_clusters(), original.num_clusters());
-  std::filesystem::remove(path);
 }
 
 // --- Record log ---

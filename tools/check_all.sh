@@ -7,25 +7,32 @@
 #                      oracle, verdict cache, weighted-fair admission) so the
 #                      serving-runtime gate is named even if labels reshuffle.
 #   2. chaos gate    - `ctest -L fault` (deterministic fault-injection sweeps),
+#                      `ctest -L fuzz` (the seeded mutation harness over the
+#                      index image decoder and the index file),
 #                      `ctest -L shm` (the shared-memory serving plane:
 #                      cross-process byte-identity, pin protocol, reader-crash
 #                      isolation — docs/shm_serving.md), and `ctest -L proc`
 #                      (supervised multi-process serving: worker RPC framing,
 #                      restart budgets, sibling-retry identity, seeded
 #                      kill/hang/torn-frame storms) in a FOCUS_SANITIZE=address
-#                      build, so every injected failure path and every
-#                      mapped-memory path also runs leak- and overflow-checked.
+#                      build, so every injected failure path, every decoder
+#                      of untrusted bytes and every mapped-memory path also
+#                      runs leak- and overflow-checked.
 #   3. tsan gate     - `ctest -L stress` (worker pool, live query over
 #                      advancing ingest, background publication: readers on
 #                      SnapshotSlot::Latest() sharing one query service while
 #                      builder-thread publishes and parallel checkpoint
-#                      persistence race them) plus fleet_zipf_live_test (live
-#                      fleet serving) in a FOCUS_SANITIZE=thread build, so
-#                      snapshot handoffs, the verdict cache's lock-free cached
-#                      path and epoch retirement run race-checked. The rest of
-#                      `-L fleet`, fleet_query_service_test, stays out: its
-#                      32-camera fixture had not finished after 14 minutes
-#                      under TSan (87 s in Release); it runs in gate 1.
+#                      persistence race them) plus the `-L fleet` suites
+#                      (fleet_zipf_live_test: live fleet serving;
+#                      fleet_query_service_test: the executor's work items,
+#                      packer, striped verdict cache and concurrent sessions)
+#                      in a FOCUS_SANITIZE=thread build, so snapshot handoffs,
+#                      the verdict cache's lock-free cached path and epoch
+#                      retirement run race-checked. Under TSan
+#                      fleet_query_service_test builds an 8-camera fixture of
+#                      30 s streams instead of 32 cameras of 60 s (its Release
+#                      fixture, gate 1, is unchanged); every case runs at
+#                      that size, none is filtered out.
 #   4. bench gate    - `bench/run_benches.sh --check`: the tracked perf
 #                      guardrails, including bench_chaos's no-fault overhead
 #                      of the robustness machinery and bench_live_query's
@@ -56,15 +63,17 @@ ctest --test-dir "$BUILD_DIR" -L fleet --output-on-failure
 if [ "${FOCUS_SKIP_ASAN:-0}" = "1" ]; then
   echo "== gate 2/4: SKIPPED (FOCUS_SKIP_ASAN=1) =="
 else
-  echo "== gate 2/4: chaos + shm + proc suites under AddressSanitizer =="
+  echo "== gate 2/4: chaos + fuzz + shm + proc suites under AddressSanitizer =="
   cmake -S "$REPO_DIR" -B "$ASAN_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DFOCUS_SANITIZE=address
-  # Only the fault-, shm-, and proc-labeled suites are needed; build just
-  # their targets.
+  # Only the fault-, fuzz-, shm-, and proc-labeled suites are needed; build
+  # just their targets.
   cmake --build "$ASAN_DIR" -j"$JOBS" \
     --target fault_injection_test chaos_ingest_test flaky_stream_test \
-    shm_serving_test worker_process_pool_test proc_serving_chaos_test
+    codec_property_test shm_serving_test worker_process_pool_test \
+    proc_serving_chaos_test
   ctest --test-dir "$ASAN_DIR" -L fault --output-on-failure
+  ctest --test-dir "$ASAN_DIR" -L fuzz --output-on-failure
   ctest --test-dir "$ASAN_DIR" -L shm --output-on-failure
   ctest --test-dir "$ASAN_DIR" -L proc --output-on-failure
 fi
@@ -72,14 +81,14 @@ fi
 if [ "${FOCUS_SKIP_TSAN:-0}" = "1" ]; then
   echo "== gate 3/4: SKIPPED (FOCUS_SKIP_TSAN=1) =="
 else
-  echo "== gate 3/4: stress suites + live fleet serving under ThreadSanitizer =="
+  echo "== gate 3/4: stress + fleet suites under ThreadSanitizer =="
   cmake -S "$REPO_DIR" -B "$TSAN_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DFOCUS_SANITIZE=thread
   cmake --build "$TSAN_DIR" -j"$JOBS" \
     --target worker_pool_stress_test live_query_stress_test \
-    background_publish_stress_test fleet_zipf_live_test
+    background_publish_stress_test fleet_zipf_live_test fleet_query_service_test
   ctest --test-dir "$TSAN_DIR" -L stress --output-on-failure
-  ctest --test-dir "$TSAN_DIR" -R '^fleet_zipf_live_test$' --output-on-failure
+  ctest --test-dir "$TSAN_DIR" -L fleet --output-on-failure
 fi
 
 echo "== gate 4/4: bench guardrails =="

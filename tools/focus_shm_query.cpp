@@ -5,10 +5,11 @@
 // publishes every live epoch into a named shm segment; any other process —
 // started later, configured with nothing but the segment name — attaches,
 // rebuilds the catalog and CNNs from the header's seed provenance, and
-// answers queries straight off the mapping. The query path is O(map + scan):
-// no snapshot file, no deserialization, no copies except the candidate
-// centroids handed to the GT-CNN. `query` prints the attach/plan/classify
-// timing split to make that visible.
+// answers queries straight off the mapping. The query path is O(map +
+// validate): the image is checked once per epoch and then read in place — no
+// snapshot file, no deserialization, no copies except the candidate centroids
+// handed to the GT-CNN. `query` prints the attach/plan/classify timing split
+// to make that visible.
 //
 //   focus_shm_query publish --segment /focus_demo --stream auburn_c
 //                   [--minutes M] [--seed N] [--fps F] [--every FRAMES]
@@ -27,7 +28,6 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -178,7 +178,7 @@ int CmdPublish(const Args& args) {
   core::RunIngestClassified(sample, params, ingest);
 
   const shm::ShmPlaneStats stats = (*publisher)->stats();
-  std::printf("published %llu epochs (%.2f ms/epoch flatten+announce, %d failed)\n",
+  std::printf("published %llu epochs (%.2f ms/epoch copy+announce, %d failed)\n",
               static_cast<unsigned long long>(stats.epochs_published),
               stats.epochs_published > 0
                   ? publish_millis / static_cast<double>(stats.epochs_published)
@@ -239,7 +239,7 @@ int CmdQuery(const Args& args) {
   }
 
   const auto plan_start = std::chrono::steady_clock::now();
-  const shm::ShmQueryPlan plan = view->Plan(cls, kx, range, cheap);
+  const core::QueryPlan plan = view->Plan(cls, kx, range, cheap);
   const double plan_millis = MillisSince(plan_start);
   const auto classify_start = std::chrono::steady_clock::now();
   const core::QueryResult result = view->Query(cls, kx, range, cheap, gt);
@@ -269,25 +269,17 @@ int CmdQuery(const Args& args) {
                 static_cast<double>(last) / view->fps());
   }
   std::printf("cold-process cost: map+slot %.3f ms, model rebuild %.3f ms, "
-              "scan/plan %.3f ms (%zu candidates), full query %.3f ms\n",
-              attach_millis, rebuild_millis, plan_millis, plan.candidates.size(),
-              query_millis);
-  if (plan.candidates.empty()) {
+              "plan %.3f ms (%zu candidates), full query %.3f ms\n",
+              attach_millis, rebuild_millis, plan_millis, plan.work.size(), query_millis);
+  if (plan.work.empty()) {
     // Nothing indexed under that class — show what this epoch does index.
-    std::set<common::ClassId> indexed;
-    for (uint64_t i = 0; i < view->num_clusters(); ++i) {
-      const shm::ShmClusterRecord& rec = view->clusters()[i];
-      for (uint64_t c = 0; c < rec.classes_count; ++c) {
-        indexed.insert(view->classes()[rec.classes_begin + c]);
-      }
-    }
     std::printf("no clusters index '%s'; this epoch's classes:", class_name.c_str());
     int shown = 0;
-    for (common::ClassId c : indexed) {
-      if (c == cnn::kOtherClass || shown >= 6) {
+    for (const index::PostingList& list : view->index().lists()) {
+      if (list.cls == cnn::kOtherClass || shown >= 6) {
         continue;
       }
-      std::printf(" %s", catalog.Name(c).c_str());
+      std::printf(" %s", catalog.Name(list.cls).c_str());
       ++shown;
     }
     std::printf("\n");

@@ -2,19 +2,19 @@
 //
 // The operator workflow the paper implies — index a stream, ship the index, answer
 // queries later on another machine — as four subcommands over self-contained index
-// snapshot files (.fidx, see src/storage/index_codec.h). The snapshot embeds the
-// ingest model descriptor and world seed, so `query` needs nothing but the file.
+// files (src/storage/index_file.h): the index image plus the ingest model
+// descriptor and world seed, so `query` needs nothing but the file.
 //
 //   focusctl streams
 //       List the 13 Table-1 stream profiles.
 //   focusctl ingest --stream auburn_c --minutes 10 [--seed 7] [--fps 30]
-//                   [--policy balance|opt-ingest|opt-query] --out auburn.fidx
-//       Simulate the recording, tune, ingest, and write the index snapshot.
-//   focusctl inspect --snapshot auburn.fidx
+//                   [--policy balance|opt-ingest|opt-query] --out auburn.idx
+//       Simulate the recording, tune, ingest, and write the index file.
+//   focusctl inspect --snapshot auburn.idx
 //       Print header and index statistics.
-//   focusctl query --snapshot auburn.fidx --class car [--kx 2]
+//   focusctl query --snapshot auburn.idx --class car [--kx 2]
 //                  [--begin 60] [--end 300] [--gpus 10]
-//       Answer "find frames with <class>" from the snapshot; report frames, GPU
+//       Answer "find frames with <class>" from the index file; report frames, GPU
 //       cost, and wall-clock latency on a GPU fleet.
 #include <cstdio>
 #include <cstdlib>
@@ -28,8 +28,7 @@
 #include "src/core/focus_stream.h"
 #include "src/core/query_engine.h"
 #include "src/runtime/gpu_device.h"
-#include "src/storage/index_codec.h"
-#include "src/storage/snapshot_store.h"
+#include "src/storage/index_file.h"
 #include "src/video/stream_generator.h"
 
 namespace {
@@ -156,16 +155,14 @@ int CmdIngest(Args& args) {
   const core::FocusStream& focus = **focus_or;
   const core::IngestParams& params = focus.chosen_params();
 
-  storage::IndexSnapshotHeader header;
-  header.stream_name = stream;
-  header.model_name = params.model.name;
-  header.k = params.k;
-  header.cluster_threshold = params.cluster_threshold;
-  header.world_seed = seed;
-  header.fps = fps;
-  header.model = params.model;
-  std::string blob = storage::EncodeIndexSnapshot(header, focus.ingest().index);
-  auto written = storage::WriteFileAtomic(out, blob);
+  storage::IndexFileMeta meta;
+  meta.stream_name = stream;
+  meta.k = params.k;
+  meta.cluster_threshold = params.cluster_threshold;
+  meta.world_seed = seed;
+  meta.fps = fps;
+  meta.model = params.model;
+  auto written = storage::WriteIndexFile(out, meta, focus.ingest().index);
   if (!written.ok()) {
     std::fprintf(stderr, "write failed: %s\n", written.error().message.c_str());
     return 1;
@@ -179,24 +176,9 @@ int CmdIngest(Args& args) {
               static_cast<long long>(focus.ingest().detections),
               static_cast<long long>(focus.ingest().num_clusters),
               focus.ingest().gpu_millis / 1000.0, gt_all / focus.ingest().gpu_millis);
-  std::printf("  wrote %s (%.1f KiB)\n", out.c_str(),
-              static_cast<double>(blob.size()) / 1024.0);
+  std::printf("  wrote %s (%.1f KiB index image)\n", out.c_str(),
+              static_cast<double>(focus.ingest().index.image().size()) / 1024.0);
   return 0;
-}
-
-common::Result<std::pair<storage::IndexSnapshotHeader, index::TopKIndex>> LoadSnapshot(
-    const std::string& path) {
-  auto blob = storage::ReadFile(path);
-  if (!blob.ok()) {
-    return blob.error();
-  }
-  storage::IndexSnapshotHeader header;
-  index::TopKIndex index;
-  auto decoded = storage::DecodeIndexSnapshot(*blob, &header, &index);
-  if (!decoded.ok()) {
-    return decoded.error();
-  }
-  return std::make_pair(std::move(header), std::move(index));
 }
 
 int CmdInspect(Args& args) {
@@ -204,29 +186,31 @@ int CmdInspect(Args& args) {
   if (path.empty()) {
     return Usage();
   }
-  auto loaded = LoadSnapshot(path);
+  auto loaded = storage::ReadIndexFile(path);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.error().message.c_str());
     return 1;
   }
   const auto& [header, index] = *loaded;
+  const index::IndexView view = index.view();
   video::ClassCatalog catalog(header.world_seed);
 
   std::printf("snapshot:   %s\n", path.c_str());
   std::printf("stream:     %s @ %.0f fps (world seed %llu)\n", header.stream_name.c_str(),
               header.fps, static_cast<unsigned long long>(header.world_seed));
   std::printf("model:      %s (layers=%d, input=%dpx, labels=%d%s)\n",
-              header.model_name.c_str(), header.model.layers, header.model.input_px,
+              header.model.name.c_str(), header.model.layers, header.model.input_px,
               header.model.label_space_size(),
               header.model.has_other_class ? " incl. OTHER" : "");
   std::printf("parameters: K=%d T=%.2f\n", header.k, header.cluster_threshold);
-  std::printf("clusters:   %zu (%lld indexed detections)\n", index.num_clusters(),
-              static_cast<long long>(index.total_indexed_detections()));
+  std::printf("clusters:   %zu (%lld indexed detections, %.1f KiB image)\n",
+              view.num_clusters(), static_cast<long long>(view.total_detections()),
+              static_cast<double>(view.bytes().size()) / 1024.0);
 
   // Top indexed classes by posting size.
   std::vector<std::pair<size_t, common::ClassId>> by_postings;
-  for (common::ClassId cls : index.IndexedClasses()) {
-    by_postings.emplace_back(index.ClustersForClass(cls).size(), cls);
+  for (const index::PostingList& list : view.lists()) {
+    by_postings.emplace_back(list.count, list.cls);
   }
   std::sort(by_postings.rbegin(), by_postings.rend());
   std::printf("top indexed classes (of %zu):\n", by_postings.size());
@@ -250,7 +234,7 @@ int CmdQuery(Args& args) {
     return Usage();
   }
 
-  auto loaded = LoadSnapshot(path);
+  auto loaded = storage::ReadIndexFile(path);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.error().message.c_str());
     return 1;
