@@ -12,8 +12,9 @@
 //
 // (b) Mapped-vs-heap scan: the staged CentroidStore scan must run at parity on
 //     mmap'd sections (the point of the pluggable backing: zero change to the
-//     hot path). Same workload as bench_cluster_assign's store path, heap
-//     backing vs a fresh arena file, identical assignments required.
+//     hot path). Same workload as bench_cluster_assign's store path on a
+//     one-shard ShardedClusterer, heap backing vs a fresh persistent state
+//     directory (OpenOrRecover), identical assignments required.
 //
 // Emits BENCH_arena_resume.json next to the binary. FOCUS_BENCH_RESUME_SEC
 // overrides the simulated stream duration (default 240 s).
@@ -28,7 +29,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/cluster/incremental_clusterer.h"
+#include "src/cluster/sharded_clusterer.h"
 #include "src/cnn/model_zoo.h"
 #include "src/common/feature_vector.h"
 #include "src/common/rng.h"
@@ -208,7 +209,8 @@ ResumeResult RunResumeConfig(const focus::video::StreamRun& run, const focus::cn
 MappedScanResult RunMappedScanConfig(const fs::path& state_root, size_t dim, size_t active,
                                      int64_t assigns) {
   using focus::cluster::ClustererOptions;
-  using focus::cluster::IncrementalClusterer;
+  using focus::cluster::ShardedClusterer;
+  using focus::cluster::ShardedClustererOptions;
   using focus::common::FeatureVec;
 
   MappedScanResult out;
@@ -234,12 +236,15 @@ MappedScanResult RunMappedScanConfig(const fs::path& state_root, size_t dim, siz
         focus::common::PerturbedUnitVector(archetypes[rng.Next() % active], 0.2, rng));
   }
 
-  ClustererOptions copts;
-  copts.threshold = 0.5;
-  copts.max_active = active;
-  copts.mode = ClustererOptions::Mode::kExact;
+  // Both sides run one shard, the persistent form of a lone clusterer, so
+  // the ratio isolates the backing.
+  ShardedClustererOptions copts;
+  copts.base.threshold = 0.5;
+  copts.base.max_active = active;
+  copts.base.mode = ClustererOptions::Mode::kExact;
+  copts.num_shards = 1;
 
-  auto drive = [&](IncrementalClusterer& clusterer, std::vector<int64_t>* assignments) {
+  auto drive = [&](ShardedClusterer& clusterer, std::vector<int64_t>* assignments) {
     focus::video::Detection d;
     assignments->resize(stream.size());
     for (size_t i = 0; i < active; ++i) {
@@ -263,15 +268,15 @@ MappedScanResult RunMappedScanConfig(const fs::path& state_root, size_t dim, siz
   std::vector<int64_t> heap_assignments;
   std::vector<int64_t> mapped_assignments;
   for (int rep = 0; rep < kReps; ++rep) {
-    IncrementalClusterer heap(copts);
+    ShardedClusterer heap(copts);
     const double ns = drive(heap, &heap_assignments);
     out.heap_ns_per_assign = rep == 0 ? ns : std::min(out.heap_ns_per_assign, ns);
   }
   for (int rep = 0; rep < kReps; ++rep) {
     const fs::path dir = state_root / ("mapped-" + std::to_string(dim));
     fs::remove_all(dir);
-    IncrementalClusterer mapped(copts);
-    auto attached = mapped.OpenOrRecover(dir.string(), "store");
+    ShardedClusterer mapped(copts);
+    auto attached = mapped.OpenOrRecover(dir.string());
     if (!attached.ok()) {
       std::fprintf(stderr, "mapped attach failed: %s\n", attached.error().message.c_str());
       return out;

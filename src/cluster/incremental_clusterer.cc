@@ -1,7 +1,6 @@
 #include "src/cluster/incremental_clusterer.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <functional>
 #include <limits>
 #include <utility>
@@ -12,14 +11,10 @@
 #include "src/storage/arena_file.h"
 #include "src/storage/record_log.h"
 #include "src/storage/serializer.h"
-#include "src/storage/snapshot_store.h"
 
 namespace focus::cluster {
 
 namespace {
-
-// Version tag of the <stem>.meta checkpoint snapshot.
-constexpr uint32_t kMetaVersion = 1;
 
 // How many trailing member runs to scan when extending an object's frame run.
 constexpr size_t kRunMergeScan = 8;
@@ -274,7 +269,10 @@ std::string IncrementalClusterer::EncodeBookkeeping() const {
 
 common::Result<bool> IncrementalClusterer::DecodeBookkeeping(std::string_view bookkeeping) {
   storage::Decoder dec(bookkeeping);
-  auto corrupt = [] { return common::Error{common::ErrorCode::kIo, "clusterer meta corrupt"}; };
+  // The coordinator prefixes the meta path and shard index.
+  auto corrupt = [](const std::string& what) {
+    return common::Error{common::ErrorCode::kIo, "clusterer bookkeeping corrupt: " + what};
+  };
 
   double threshold = 0.0;
   uint64_t max_active = 0;
@@ -283,7 +281,7 @@ common::Result<bool> IncrementalClusterer::DecodeBookkeeping(std::string_view bo
   uint64_t head_dim = 0;
   if (!dec.GetDouble(&threshold) || !dec.GetVarint(&max_active) || !dec.GetU8(&mode) ||
       !dec.GetVarint(&lru_probes) || !dec.GetVarint(&head_dim)) {
-    return corrupt();
+    return corrupt("options echo");
   }
   const bool fast = options_.mode == ClustererOptions::Mode::kFast;
   if (threshold != options_.threshold || max_active != options_.max_active ||
@@ -295,7 +293,12 @@ common::Result<bool> IncrementalClusterer::DecodeBookkeeping(std::string_view bo
 
   uint64_t num_clusters = 0;
   if (!dec.GetVarint(&num_clusters) || num_clusters > dec.remaining()) {
-    return corrupt();
+    return corrupt("cluster count");
+  }
+  // Any cluster ever created initialized the arena, which fixes the dimension
+  // every centroid below must have.
+  if (num_clusters > 0 && store_.dim() == 0) {
+    return corrupt(std::to_string(num_clusters) + " clusters over an empty arena");
   }
   clusters_.clear();
   clusters_.reserve(static_cast<size_t>(num_clusters));
@@ -307,7 +310,7 @@ common::Result<bool> IncrementalClusterer::DecodeBookkeeping(std::string_view bo
     if (!dec.GetU8(&active) || !dec.GetSignedVarint(&c.size) ||
         !DecodeDetection(dec, &c.representative) || !dec.GetVarint(&num_runs) ||
         num_runs > dec.remaining()) {
-      return corrupt();
+      return corrupt("cluster " + std::to_string(i));
     }
     c.active = active != 0;
     c.members.reserve(static_cast<size_t>(num_runs));
@@ -315,7 +318,7 @@ common::Result<bool> IncrementalClusterer::DecodeBookkeeping(std::string_view bo
       MemberRun run;
       if (!dec.GetSignedVarint(&run.object) || !dec.GetSignedVarint(&run.first_frame) ||
           !dec.GetSignedVarint(&run.last_frame)) {
-        return corrupt();
+        return corrupt("member runs of cluster " + std::to_string(i));
       }
       c.members.push_back(run);
     }
@@ -323,11 +326,11 @@ common::Result<bool> IncrementalClusterer::DecodeBookkeeping(std::string_view bo
       // The live centroid is the arena row recovered into the store.
       const float* row = store_.CentroidOf(c.id);
       if (row == nullptr) {
-        return corrupt();
+        return corrupt("active cluster " + std::to_string(i) + " has no arena row");
       }
       c.centroid.assign(row, row + store_.dim());
-    } else if (!DecodeFeatureVec(dec, &c.centroid)) {
-      return corrupt();
+    } else if (!DecodeFeatureVec(dec, &c.centroid) || c.centroid.size() != store_.dim()) {
+      return corrupt("centroid of retired cluster " + std::to_string(i));
     }
     clusters_.push_back(std::move(c));
   }
@@ -338,7 +341,8 @@ common::Result<bool> IncrementalClusterer::DecodeBookkeeping(std::string_view bo
     }
   }
   if (active_count != store_.size()) {
-    return corrupt();
+    return corrupt(std::to_string(active_count) + " active clusters but " +
+                   std::to_string(store_.size()) + " arena rows");
   }
   if (retired_targets_) {
     // Derived state: re-freeze every retired centroid (ascending id; merge
@@ -352,33 +356,43 @@ common::Result<bool> IncrementalClusterer::DecodeBookkeeping(std::string_view bo
 
   uint64_t num_objects = 0;
   if (!dec.GetVarint(&num_objects) || num_objects > dec.remaining()) {
-    return corrupt();
+    return corrupt("object count");
   }
+  // Ids the fast path and the LRU index clusters_ with.
+  auto valid_id = [&](int64_t id) { return id >= 0 && static_cast<uint64_t>(id) < num_clusters; };
   last_cluster_of_object_.clear();
   last_cluster_of_object_.reserve(static_cast<size_t>(num_objects));
   for (uint64_t i = 0; i < num_objects; ++i) {
     int64_t object = 0;
     int64_t cluster = 0;
     if (!dec.GetSignedVarint(&object) || !dec.GetSignedVarint(&cluster)) {
-      return corrupt();
+      return corrupt("object map");
+    }
+    if (!valid_id(cluster)) {
+      return corrupt("object " + std::to_string(object) + " maps to cluster " +
+                     std::to_string(cluster) + " of " + std::to_string(num_clusters));
     }
     last_cluster_of_object_.emplace(object, cluster);
   }
   uint64_t lru_len = 0;
   if (!dec.GetVarint(&lru_len) || lru_len > dec.remaining()) {
-    return corrupt();
+    return corrupt("lru length");
   }
   lru_.clear();
   for (uint64_t i = 0; i < lru_len; ++i) {
     int64_t id = 0;
     if (!dec.GetSignedVarint(&id)) {
-      return corrupt();
+      return corrupt("lru");
+    }
+    if (!valid_id(id)) {
+      return corrupt("lru names cluster " + std::to_string(id) + " of " +
+                     std::to_string(num_clusters));
     }
     lru_.push_back(id);
   }
   if (!dec.GetSignedVarint(&total_assignments_) || !dec.GetSignedVarint(&fast_hits_) ||
       !dec.GetSignedVarint(&fast_lookups_) || !dec.Done()) {
-    return corrupt();
+    return corrupt("counters");
   }
 
   // Rebuild the retire heap from current sizes. The lazy heap's selection is
@@ -396,38 +410,22 @@ common::Result<bool> IncrementalClusterer::DecodeBookkeeping(std::string_view bo
 }
 
 common::Result<bool> IncrementalClusterer::AttachPersistence(
-    std::unique_ptr<storage::ArenaFile> arena, const std::string& undo_path) {
-  FOCUS_CHECK(clusters_.empty() && store_.empty() && arena_file_ == nullptr);
-  auto writer = storage::RecordLogWriter::Open(undo_path, /*truncate=*/true, options_.undo_fsync);
-  if (!writer.ok()) {
-    return writer.error();
-  }
-  arena_file_ = std::move(arena);
-  arena_file_->SetFsyncPolicy(options_.arena_fsync);
-  undo_path_ = undo_path;
-  undo_writer_ =
-      std::make_unique<storage::RecordLogWriter>(std::move(writer).value());
-  store_.AttachArena(arena_file_.get(), undo_writer_.get());
-  return true;
-}
-
-common::Result<bool> IncrementalClusterer::RestorePersistent(
     std::unique_ptr<storage::ArenaFile> arena, const std::string& undo_path,
-    std::string_view bookkeeping) {
+    std::optional<std::string_view> bookkeeping) {
   FOCUS_CHECK(clusters_.empty() && store_.empty() && arena_file_ == nullptr);
-  // Append mode: the old window's records stay until the caller's re-seal
-  // checkpoint rotates the log; no mutation happens in between.
-  auto writer = storage::RecordLogWriter::Open(undo_path, /*truncate=*/false, options_.undo_fsync);
+  auto writer = storage::RecordLogWriter::Open(undo_path, /*truncate=*/!bookkeeping.has_value());
   if (!writer.ok()) {
     return writer.error();
   }
   arena_file_ = std::move(arena);
-  arena_file_->SetFsyncPolicy(options_.arena_fsync);
   undo_path_ = undo_path;
   undo_writer_ =
       std::make_unique<storage::RecordLogWriter>(std::move(writer).value());
   store_.AttachArena(arena_file_.get(), undo_writer_.get());
-  return DecodeBookkeeping(bookkeeping);
+  if (!bookkeeping.has_value()) {
+    return true;
+  }
+  return DecodeBookkeeping(*bookkeeping);
 }
 
 common::Result<uint64_t> IncrementalClusterer::CommitArena() {
@@ -442,7 +440,7 @@ common::Result<uint64_t> IncrementalClusterer::CommitArena() {
 
 common::Result<bool> IncrementalClusterer::RotateUndoLog(uint64_t generation) {
   FOCUS_CHECK(arena_file_ != nullptr);
-  auto writer = storage::RecordLogWriter::Open(undo_path_, /*truncate=*/true, options_.undo_fsync);
+  auto writer = storage::RecordLogWriter::Open(undo_path_, /*truncate=*/true);
   if (!writer.ok()) {
     return writer.error();
   }
@@ -457,104 +455,6 @@ common::Result<bool> IncrementalClusterer::RotateUndoLog(uint64_t generation) {
   }
   store_.SetUndoWriter(undo_writer_.get());
   return true;
-}
-
-common::Result<ClustererRecovery> IncrementalClusterer::OpenOrRecover(
-    const std::string& dir, const std::string& stem) {
-  FOCUS_CHECK(clusters_.empty() && store_.empty() && arena_file_ == nullptr);
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    return common::Error{common::ErrorCode::kIo,
-                         "create persist dir: " + dir + ": " + ec.message()};
-  }
-  const std::string arena_path = dir + "/" + stem + ".arena";
-  const std::string undo_path = dir + "/" + stem + ".undo";
-  meta_path_ = dir + "/" + stem + ".meta";
-
-  if (!storage::FileExists(meta_path_)) {
-    // No committed checkpoint: fresh persistent state. Stale arena/undo files
-    // from a run that crashed before its first checkpoint are dropped.
-    std::filesystem::remove(arena_path, ec);
-    std::filesystem::remove(undo_path, ec);
-    auto arena = storage::ArenaFile::Open(arena_path);
-    if (!arena.ok()) {
-      return arena.error();
-    }
-    if (auto attached = AttachPersistence(std::move(arena).value(), undo_path);
-        !attached.ok()) {
-      return attached.error();
-    }
-    return ClustererRecovery{};
-  }
-
-  auto blob = storage::ReadFile(meta_path_);
-  if (!blob.ok()) {
-    return blob.error();
-  }
-  storage::Decoder dec(*blob);
-  uint32_t version = 0;
-  uint64_t generation = 0;
-  int64_t position = 0;
-  std::string user_state;
-  std::string bookkeeping;
-  size_t payload_end = 0;
-  uint32_t crc = 0;
-  if (!dec.GetU32(&version) || version != kMetaVersion || !dec.GetU64(&generation) ||
-      !dec.GetSignedVarint(&position) || !dec.GetString(&user_state) ||
-      !dec.GetString(&bookkeeping) || (payload_end = dec.offset(), !dec.GetU32(&crc)) ||
-      storage::Crc32(std::string_view(blob->data(), payload_end)) != crc) {
-    return common::Error{common::ErrorCode::kIo, "clusterer meta corrupt: " + meta_path_};
-  }
-
-  bool needs_reseal = false;
-  auto arena = storage::OpenArenaAtCheckpoint(arena_path, undo_path, generation, &needs_reseal);
-  if (!arena.ok()) {
-    return arena.error();
-  }
-  if (auto restored = RestorePersistent(std::move(arena).value(), undo_path, bookkeeping);
-      !restored.ok()) {
-    return restored.error();
-  }
-  // Re-seal when anything was undone: after a rollback the arena header may
-  // sit a generation ahead of the adopted state, so a fresh checkpoint makes
-  // header, meta, and undo window mutually consistent again before any
-  // mutation. A clean recovery (header at the meta's generation, empty undo
-  // window) skips this — the on-disk state already is the checkpoint, which
-  // keeps rolling restarts O(read + page-in).
-  if (needs_reseal) {
-    if (auto sealed = Checkpoint(position, user_state); !sealed.ok()) {
-      return sealed.error();
-    }
-  }
-  ClustererRecovery out;
-  out.recovered = true;
-  out.position = position;
-  out.user_state = std::move(user_state);
-  return out;
-}
-
-common::Result<bool> IncrementalClusterer::Checkpoint(int64_t position,
-                                                      std::string_view user_state) {
-  FOCUS_CHECK(arena_file_ != nullptr);
-  auto generation = CommitArena();
-  if (!generation.ok()) {
-    return generation.error();
-  }
-  storage::Encoder enc;
-  enc.PutU32(kMetaVersion);
-  enc.PutU64(*generation);
-  enc.PutSignedVarint(position);
-  enc.PutString(user_state);
-  enc.PutString(EncodeBookkeeping());
-  const uint32_t crc = storage::Crc32(enc.bytes());
-  enc.PutU32(crc);
-  // The atomic rename of the meta snapshot is the commit point of the whole
-  // checkpoint: a crash on either side recovers to a consistent generation.
-  if (auto wrote = storage::WriteFileAtomic(meta_path_, enc.bytes()); !wrote.ok()) {
-    return wrote;
-  }
-  return RotateUndoLog(*generation);
 }
 
 int64_t IncrementalClusterer::AddSuppressed(const video::Detection& detection,

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -36,7 +37,6 @@
 
 #include "src/cluster/centroid_store.h"
 #include "src/common/feature_vector.h"
-#include "src/storage/fsync_policy.h"
 #include "src/common/result.h"
 #include "src/common/time_types.h"
 #include "src/video/detection.h"
@@ -85,20 +85,6 @@ struct ClustererOptions {
   // any width, so this is a cost knob — bench_cluster_assign uses it to compare
   // head-tile policies on identical workloads.
   size_t head_dim = 0;
-  // Persistent path only: fsync cadence of the centroid arena's checkpoint
-  // commits and of the write-ahead undo log (see storage/fsync_policy.h and
-  // the durability table in docs/persistence.md). Defaults match the original
-  // hard-coded behavior: arena synced every commit, undo log never.
-  storage::FsyncOptions arena_fsync = storage::FsyncOptions::EveryCommit();
-  storage::FsyncOptions undo_fsync = storage::FsyncOptions::Never();
-};
-
-// Outcome of OpenOrRecover: whether a prior checkpoint was adopted, and the
-// caller cursor + opaque caller blob that checkpoint carried.
-struct ClustererRecovery {
-  bool recovered = false;
-  int64_t position = 0;
-  std::string user_state;
 };
 
 class IncrementalClusterer {
@@ -120,43 +106,20 @@ class IncrementalClusterer {
 
   // --- Persistence (see docs/persistence.md) ---
   //
-  // State lives in three files under |dir|: <stem>.arena (the mmap'd centroid
-  // working set, mutated in place), <stem>.undo (write-ahead pre-images of
-  // checkpointed arena rows, rotated at every checkpoint), and <stem>.meta
-  // (everything else — cluster table, member runs, fast-path maps, counters —
-  // snapshotted atomically at each checkpoint; its atomic rename is the commit
-  // point). Recovery restores the exact state of the newest committed
-  // checkpoint: subsequent assignments are byte-identical to a clusterer that
-  // processed the same prefix without the crash.
-
-  // Attaches persistent backing under |dir| (created if needed), recovering
-  // the newest checkpoint when one exists. Must be called on an empty
-  // clusterer whose options match the checkpointed run's.
-  common::Result<ClustererRecovery> OpenOrRecover(const std::string& dir,
-                                                  const std::string& stem);
-
-  // Durably publishes the current state together with an opaque caller cursor
-  // (e.g. the next frame index to ingest) and caller blob. The arena side is
-  // O(dirty working set) (msync + header); the bookkeeping snapshot re-encodes
-  // the full cluster table, so its cost grows with accumulated member runs —
-  // delta-encoding the bookkeeping through the existing RecordLogWriter is
-  // the recorded follow-up for multi-hour retention windows.
-  common::Result<bool> Checkpoint(int64_t position, std::string_view user_state = {});
-
-  bool persistent() const { return arena_file_ != nullptr; }
-
-  // Building blocks for a coordinator (ShardedClusterer) that checkpoints
-  // several clusterers under one atomic meta file. Standalone users call
-  // OpenOrRecover/Checkpoint instead.
+  // Building blocks for ShardedClusterer, the one reader and writer of
+  // clustering checkpoints: each shard's active centroids live in a mapped
+  // arena with a write-ahead undo log, and everything else is the bookkeeping
+  // blob the coordinator stores in its meta file. (A one-shard
+  // ShardedClusterer is the persistent form of a lone clusterer.)
   //
-  // Binds a fresh (possibly uninitialized) arena + undo log; store must be empty.
-  common::Result<bool> AttachPersistence(std::unique_ptr<storage::ArenaFile> arena,
-                                         const std::string& undo_path);
-  // Adopts an arena already rolled back to a consistent checkpoint, plus the
-  // bookkeeping blob snapshotted at that same checkpoint.
-  common::Result<bool> RestorePersistent(std::unique_ptr<storage::ArenaFile> arena,
-                                         const std::string& undo_path,
-                                         std::string_view bookkeeping);
+  // Binds |arena| and the undo log at |undo_path|; the store must be empty.
+  // Without |bookkeeping| the arena is fresh and the undo log is truncated.
+  // With it, |arena| was rolled back to the checkpoint that snapshotted
+  // |bookkeeping|: the undo log is kept (the old window's records stay until
+  // the caller's re-seal checkpoint rotates it) and the bookkeeping is decoded.
+  common::Result<bool> AttachPersistence(
+      std::unique_ptr<storage::ArenaFile> arena, const std::string& undo_path,
+      std::optional<std::string_view> bookkeeping = std::nullopt);
   // Checkpoint step 1: msync + commit the arena header. Returns the generation.
   common::Result<uint64_t> CommitArena();
   // Checkpoint step 3 (after the coordinator's meta commit): truncate the undo
@@ -246,7 +209,6 @@ class IncrementalClusterer {
   std::unique_ptr<storage::ArenaFile> arena_file_;
   std::unique_ptr<storage::RecordLogWriter> undo_writer_;
   std::string undo_path_;
-  std::string meta_path_;
 };
 
 }  // namespace focus::cluster

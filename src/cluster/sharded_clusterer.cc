@@ -540,26 +540,28 @@ common::Result<ClustererRecovery> ShardedClusterer::OpenOrRecover(const std::str
   if (!blob.ok()) {
     return blob.error();
   }
-  auto corrupt = [&] {
-    return common::Error{common::ErrorCode::kIo, "sharded meta corrupt: " + meta_path_};
+  auto corrupt = [&](const std::string& what) {
+    return common::Error{common::ErrorCode::kIo,
+                         "sharded meta corrupt: " + meta_path_ + ": " + what};
   };
+  auto shard_name = [](uint64_t s) { return "shard " + std::to_string(s); };
   // The trailing CRC covers every byte before it; check it first so a torn or
   // scribbled file reads as corrupt, never as a version or options mismatch.
   constexpr size_t kCrcBytes = 4;
   if (blob->size() < kCrcBytes) {
-    return corrupt();
+    return corrupt("truncated");
   }
   const std::string_view payload(blob->data(), blob->size() - kCrcBytes);
   storage::Decoder crc_dec(std::string_view(blob->data() + payload.size(), kCrcBytes));
   uint32_t crc = 0;
   if (!crc_dec.GetU32(&crc) || storage::Crc32(payload) != crc) {
-    return corrupt();
+    return corrupt("crc mismatch");
   }
   storage::Decoder dec(payload);
   uint32_t version = 0;
   uint64_t num_shards = 0;
   if (!dec.GetU32(&version)) {
-    return corrupt();
+    return corrupt("version");
   }
   if (version != kShardedMetaVersion) {
     return common::FailedPrecondition(
@@ -567,7 +569,7 @@ common::Result<ClustererRecovery> ShardedClusterer::OpenOrRecover(const std::str
         std::to_string(kShardedMetaVersion) + ": " + meta_path_);
   }
   if (!dec.GetVarint(&num_shards)) {
-    return corrupt();
+    return corrupt("shard count");
   }
   if (num_shards != options_.num_shards) {
     return common::FailedPrecondition(
@@ -577,24 +579,30 @@ common::Result<ClustererRecovery> ShardedClusterer::OpenOrRecover(const std::str
   std::vector<std::string> bookkeeping(options_.num_shards);
   for (size_t s = 0; s < options_.num_shards; ++s) {
     if (!dec.GetU64(&generations[s]) || !dec.GetString(&bookkeeping[s])) {
-      return corrupt();
+      return corrupt(shard_name(s) + ": bookkeeping");
     }
   }
   uint64_t parent_len = 0;
   if (!dec.GetVarint(&parent_len) || parent_len > dec.remaining()) {
-    return corrupt();
+    return corrupt("union-find length");
   }
   std::vector<int64_t> parent(static_cast<size_t>(parent_len));
-  for (int64_t& p : parent) {
-    if (!dec.GetSignedVarint(&p)) {
-      return corrupt();
+  for (size_t g = 0; g < parent.size(); ++g) {
+    if (!dec.GetSignedVarint(&parent[g])) {
+      return corrupt("union-find");
+    }
+    // Roots are component minima, so every parent is at or below its child;
+    // that also rules out cycles, which would hang Find.
+    if (parent[g] < 0 || static_cast<size_t>(parent[g]) > g) {
+      return corrupt(shard_name(g % options_.num_shards) + ": global id " + std::to_string(g) +
+                     " has parent " + std::to_string(parent[g]));
     }
   }
   std::vector<size_t> merge_scanned(options_.num_shards, 0);
   for (size_t s = 0; s < options_.num_shards; ++s) {
     uint64_t scanned = 0;
     if (!dec.GetVarint(&scanned)) {
-      return corrupt();
+      return corrupt(shard_name(s) + ": merge cursor");
     }
     merge_scanned[s] = static_cast<size_t>(scanned);
   }
@@ -602,13 +610,13 @@ common::Result<ClustererRecovery> ShardedClusterer::OpenOrRecover(const std::str
   for (size_t s = 0; s < options_.num_shards; ++s) {
     uint64_t count = 0;
     if (!dec.GetVarint(&count) || count > dec.remaining()) {
-      return corrupt();
+      return corrupt(shard_name(s) + ": merge candidate count");
     }
     merge_considered[s].resize(static_cast<size_t>(count));
     for (MergeCandidate& candidate : merge_considered[s]) {
       uint64_t local = 0;
       if (!dec.GetVarint(&local) || !DecodeFeatureVec(dec, &candidate.snapshot)) {
-        return corrupt();
+        return corrupt(shard_name(s) + ": merge candidates");
       }
       candidate.local_id = static_cast<size_t>(local);
     }
@@ -618,7 +626,7 @@ common::Result<ClustererRecovery> ShardedClusterer::OpenOrRecover(const std::str
   std::string user_state;
   if (!dec.GetSignedVarint(&merges_folded) || !dec.GetSignedVarint(&position) ||
       !dec.GetString(&user_state) || !dec.Done()) {
-    return corrupt();
+    return corrupt("trailer");
   }
 
   // Roll every shard arena back to the committed cut (the shared protocol in
@@ -633,10 +641,42 @@ common::Result<ClustererRecovery> ShardedClusterer::OpenOrRecover(const std::str
       return arena.error();
     }
     needs_reseal = needs_reseal || shard_needs_reseal;
-    if (auto restored = shards_[s]->RestorePersistent(std::move(arena).value(), undo_path(s),
+    if (auto restored = shards_[s]->AttachPersistence(std::move(arena).value(), undo_path(s),
                                                       bookkeeping[s]);
         !restored.ok()) {
-      return restored.error();
+      common::Error error = restored.error();
+      error.message = meta_path_ + ": " + shard_name(s) + ": " + error.message;
+      return error;
+    }
+    // The merge passes index the shard's cluster table with these candidates
+    // and binary-search them by local id: every active cluster below the
+    // cursor is a candidate, in strictly ascending order, with a snapshot of
+    // the store's dimension.
+    const std::vector<Cluster>& clusters = shards_[s]->clusters();
+    const size_t dim = shards_[s]->centroid_store().dim();
+    if (merge_scanned[s] > clusters.size()) {
+      return corrupt(shard_name(s) + ": merge cursor " + std::to_string(merge_scanned[s]) +
+                     " past " + std::to_string(clusters.size()) + " clusters");
+    }
+    size_t next = 0;
+    for (size_t l = 0; l < merge_scanned[s]; ++l) {
+      const std::vector<MergeCandidate>& considered = merge_considered[s];
+      if (next < considered.size() && considered[next].local_id == l) {
+        if (considered[next].snapshot.size() != dim) {
+          return corrupt(shard_name(s) + ": merge candidate " + std::to_string(l) +
+                         " has dimension " +
+                         std::to_string(considered[next].snapshot.size()));
+        }
+        ++next;
+      } else if (clusters[l].active) {
+        return corrupt(shard_name(s) + ": active cluster " + std::to_string(l) +
+                       " is not a merge candidate");
+      }
+    }
+    if (next != merge_considered[s].size()) {
+      return corrupt(shard_name(s) + ": merge candidate " +
+                     std::to_string(merge_considered[s][next].local_id) +
+                     " is out of order or past the merge cursor");
     }
   }
   parent_ = std::move(parent);

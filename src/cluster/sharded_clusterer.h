@@ -60,6 +60,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/cluster/incremental_clusterer.h"
@@ -71,6 +73,14 @@ class WorkerPool;
 }  // namespace focus::runtime
 
 namespace focus::cluster {
+
+// Outcome of ShardedClusterer::OpenOrRecover: whether a prior checkpoint was
+// adopted, and the caller cursor + opaque caller blob that checkpoint carried.
+struct ClustererRecovery {
+  bool recovered = false;
+  int64_t position = 0;
+  std::string user_state;
+};
 
 struct ShardedClustererOptions {
   // Per-shard clustering parameters. max_active caps each shard's active set
@@ -134,9 +144,11 @@ class ShardedClusterer {
 
   // --- Persistence (see docs/persistence.md) ---
   //
-  // One arena + undo-log pair per shard (shard-<s>.arena / shard-<s>.undo)
-  // plus a single sharded.meta snapshot carrying every shard's bookkeeping and
-  // the cross-shard merge state. The one atomic meta write is the commit point
+  // The one checkpoint protocol for clustering state (a one-shard instance is
+  // the persistent form of a lone IncrementalClusterer). One arena + undo-log
+  // pair per shard (shard-<s>.arena / shard-<s>.undo) plus a single
+  // sharded.meta snapshot carrying every shard's bookkeeping and the
+  // cross-shard merge state. The one atomic meta write is the commit point
   // for all shards at once: a crash mid-checkpoint leaves some shard arenas a
   // generation ahead, and recovery rolls each back to the generation the meta
   // recorded — so the recovered multi-shard state is always a consistent cut.
@@ -144,9 +156,11 @@ class ShardedClusterer {
   // Attaches persistent backing under |dir| (created if needed), recovering
   // the newest committed checkpoint when one exists. Must be called before any
   // assignment, with options matching the checkpointed run's. A meta file
-  // that fails its CRC is kIo (retryable); a well-formed meta written by a
-  // different meta version or shard count is FailedPrecondition (restarting
-  // cannot fix it).
+  // that fails its CRC, or whose contents break an invariant the clusterer
+  // indexes by (a cluster id, a union-find parent, a merge candidate), is kIo
+  // naming the meta path and the shard; a well-formed meta written by a
+  // different meta version, shard count or clusterer options is
+  // FailedPrecondition (restarting cannot fix it).
   common::Result<ClustererRecovery> OpenOrRecover(const std::string& dir);
 
   // Durably publishes the current state of every shard plus the merge state,

@@ -182,7 +182,9 @@ class DetectionStage {
     }
   }
 
-  bool DecodeFrom(storage::Decoder& dec) {
+  // |feature_dim| is the dimension the recovered clusterer arenas fixed: a
+  // reused feature is assigned like a fresh one, so it must match.
+  bool DecodeFrom(storage::Decoder& dec, size_t feature_dim) {
     uint64_t count = 0;
     if (!dec.GetDouble(&gpu_millis_) || !dec.GetSignedVarint(&cnn_invocations_) ||
         !dec.GetSignedVarint(&suppressed_) || !dec.GetVarint(&count) ||
@@ -201,12 +203,15 @@ class DetectionStage {
       for (uint64_t e = 0; e < entries; ++e) {
         int64_t cls = 0;
         float confidence = 0.0f;
-        if (!dec.GetSignedVarint(&cls) || !dec.GetFloat(&confidence)) {
+        // A reused class indexes the rank table's rows (BestRankTable::Update).
+        if (!dec.GetSignedVarint(&cls) || !dec.GetFloat(&confidence) || cls < 0 ||
+            cls >= BestRankTable::kRankSpace) {
           return false;
         }
         entry.topk.entries.emplace_back(static_cast<common::ClassId>(cls), confidence);
       }
-      if (!cluster::DecodeFeatureVec(dec, &entry.feature)) {
+      if (!cluster::DecodeFeatureVec(dec, &entry.feature) || feature_dim == 0 ||
+          entry.feature.size() != feature_dim) {
         return false;
       }
       last_.insert_or_assign(object, std::move(entry));
@@ -547,8 +552,6 @@ class IngestEngine {
     sopts.base.threshold = params.cluster_threshold;
     sopts.base.max_active = options.max_active_clusters;
     sopts.base.mode = options.cluster_mode;
-    sopts.base.arena_fsync = options.arena_fsync;
-    sopts.base.undo_fsync = options.undo_fsync;
     sopts.num_shards = static_cast<size_t>(options.num_shards);
     if (scratch != nullptr) {
       scratch->Reset(sopts);
@@ -588,7 +591,8 @@ class IngestEngine {
       if (!DecodeState(recovery->user_state)) {
         // The meta snapshot passed its CRC but the pipeline blob inside does
         // not parse: durable state from a future/corrupt writer. Not retryable.
-        return common::DataLoss("ingest pipeline state undecodable: " + options_.persist_dir);
+        return common::DataLoss("ingest pipeline state undecodable: " + options_.persist_dir +
+                                "/sharded.meta");
       }
       resumed_from_ = recovery->position;
       // The checkpoint at a boundary frame captured the post-boundary state,
@@ -713,12 +717,18 @@ class IngestEngine {
   }
 
   bool DecodeState(std::string_view blob) {
+    // Every detection the stage classified was assigned before the
+    // checkpoint, so a shard arena exists and fixes the feature dimension.
+    size_t feature_dim = 0;
+    for (size_t s = 0; s < clusterer_->num_shards() && feature_dim == 0; ++s) {
+      feature_dim = clusterer_->shard(s).centroid_store().dim();
+    }
     storage::Decoder dec(blob);
     int64_t k = 0;
     uint8_t pixel_diff = 0;
     return dec.GetSignedVarint(&k) && k == k_ && dec.GetU8(&pixel_diff) &&
            (pixel_diff != 0) == options_.use_pixel_diff && dec.GetSignedVarint(&detections_) &&
-           stage_->DecodeFrom(dec) && ranks_.DecodeFrom(dec) && dec.Done();
+           stage_->DecodeFrom(dec, feature_dim) && ranks_.DecodeFrom(dec) && dec.Done();
   }
 
   const IngestOptions& options_;

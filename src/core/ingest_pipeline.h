@@ -36,7 +36,6 @@
 #include "src/core/config.h"
 #include "src/core/live_snapshot.h"
 #include "src/index/topk_index.h"
-#include "src/storage/fsync_policy.h"
 #include "src/video/stream_generator.h"
 
 namespace focus::runtime {
@@ -146,11 +145,6 @@ struct IngestOptions {
   // the persistent path: a transiently failing msync/rename is retried with
   // virtual-time backoff before the attempt is abandoned to the supervisor.
   common::RetryPolicy checkpoint_retry;
-  // Fsync cadence of the durable state (threaded to ClustererOptions; see
-  // storage/fsync_policy.h and docs/persistence.md). Defaults preserve the
-  // original behavior: arena synced every checkpoint, undo log never.
-  storage::FsyncOptions arena_fsync = storage::FsyncOptions::EveryCommit();
-  storage::FsyncOptions undo_fsync = storage::FsyncOptions::Never();
 };
 
 // Runs ingest over |run| with |ingest_cnn| and parameters |params| (the live

@@ -249,7 +249,7 @@ common::Result<bool> ArenaFile::MapBytes(size_t bytes) {
   return true;
 }
 
-common::Result<bool> ArenaFile::WriteHeaderSlot(int slot, bool sync) {
+common::Result<bool> ArenaFile::WriteHeaderSlot(int slot) {
   HeaderImage header;
   header.dim = static_cast<uint32_t>(dim_);
   header.head_dim = static_cast<uint32_t>(head_dim_);
@@ -273,7 +273,7 @@ common::Result<bool> ArenaFile::WriteHeaderSlot(int slot, bool sync) {
   }
   std::memcpy(dst, image.data(), image.size());
   std::memset(dst + image.size(), 0, kHeaderSlotBytes - image.size());
-  if (sync && ::msync(map_, 2 * kHeaderSlotBytes, MS_SYNC) != 0) {
+  if (::msync(map_, 2 * kHeaderSlotBytes, MS_SYNC) != 0) {
     return Errno("arena header msync", path_);
   }
   active_slot_ = slot;
@@ -376,16 +376,15 @@ common::Result<uint64_t> ArenaFile::Commit(uint64_t rows) {
   if (rows > capacity_rows_) {
     return common::Error(common::InvalidArgument("commit rows beyond capacity"));
   }
-  const bool sync = fsync_.ShouldSync(++commit_count_);
   if (common::FaultPoint("arena.commit.msync")) {
     return common::Error(common::Unavailable("injected arena.commit.msync failure: " + path_));
   }
-  if (sync && ::msync(map_, map_bytes_, MS_SYNC) != 0) {
+  if (::msync(map_, map_bytes_, MS_SYNC) != 0) {
     return common::Error(Errno("arena msync", path_));
   }
   committed_rows_ = rows;
   ++generation_;
-  if (auto wrote = WriteHeaderSlot(1 - active_slot_, sync); !wrote.ok()) {
+  if (auto wrote = WriteHeaderSlot(1 - active_slot_); !wrote.ok()) {
     return wrote.error();
   }
   return generation_;

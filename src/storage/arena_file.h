@@ -57,7 +57,6 @@
 #include <vector>
 
 #include "src/common/result.h"
-#include "src/storage/fsync_policy.h"
 
 namespace focus::storage {
 
@@ -129,19 +128,12 @@ class ArenaFile {
   const int64_t* sizes() const { return sizes_base_; }
   const int64_t* ids() const { return ids_base_; }
 
-  // Checkpoint barrier: msync the data sections (per the fsync policy), then
-  // publish {generation + 1, rows} through the inactive header slot. Returns
-  // the new generation. Safe to retry after a failure: the active slot only
+  // Checkpoint barrier: msync the data sections, then publish
+  // {generation + 1, rows} through the inactive header slot and msync it.
+  // Returns the new generation. Safe to retry after a failure: the active slot only
   // advances on success, so a torn inactive-slot write is simply rewritten,
   // and skipped generations are harmless (Open adopts the highest).
   common::Result<uint64_t> Commit(uint64_t rows);
-
-  // Fsync cadence for Commit. kEveryCommit (the default) is the full
-  // kernel-crash durability contract; kEveryN/kNever trade crash windows for
-  // commit latency (see fsync_policy.h). Initialize/Reserve always sync —
-  // layout publishes must be ordered regardless of checkpoint cadence.
-  void SetFsyncPolicy(FsyncOptions fsync) { fsync_ = fsync; }
-  FsyncOptions fsync_policy() const { return fsync_; }
 
   // Restores the mapping to the checkpoint with generation |generation| using
   // the undo records of |log| (as returned by ReadRecordLog on the undo log):
@@ -172,7 +164,7 @@ class ArenaFile {
   ArenaFile() = default;
 
   common::Result<bool> MapBytes(size_t bytes);
-  common::Result<bool> WriteHeaderSlot(int slot, bool sync = true);
+  common::Result<bool> WriteHeaderSlot(int slot);
   void ComputeSectionPointers();
 
   std::string path_;
@@ -186,8 +178,6 @@ class ArenaFile {
   uint64_t committed_rows_ = 0;
   uint64_t generation_ = 0;
   int active_slot_ = 0;  // Slot holding the newest committed header.
-  FsyncOptions fsync_;   // Commit cadence; Initialize/Reserve always sync.
-  int64_t commit_count_ = 0;
   // Section byte offsets (header-recorded; growth relocates sections into
   // fresh space beyond the old file end, leaving the old header's layout
   // valid until the new one is published).
@@ -211,8 +201,8 @@ class ArenaFile {
 // recreates it. *needs_reseal is set when anything had to be repaired — or
 // the undo window marker must be re-established — and the caller must publish
 // a fresh checkpoint before mutating; false means the on-disk state already
-// was the checkpoint (clean restart fast path). Shared by the single and
-// sharded clusterer recovery so the protocol lives in exactly one place.
+// was the checkpoint (clean restart fast path). ShardedClusterer recovery
+// calls it once per shard.
 common::Result<std::unique_ptr<ArenaFile>> OpenArenaAtCheckpoint(
     const std::string& arena_path, const std::string& undo_path, uint64_t generation,
     bool* needs_reseal);

@@ -12,26 +12,8 @@
 #include "src/storage/snapshot_store.h"
 
 namespace focus::storage {
-namespace {
 
-// write(2) until done or error; returns bytes written (short on error).
-size_t WriteAll(int fd, const char* data, size_t size) {
-  size_t written = 0;
-  while (written < size) {
-    ssize_t n = ::write(fd, data + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    written += static_cast<size_t>(n);
-  }
-  return written;
-}
-
-}  // namespace
-
-common::Result<RecordLogWriter> RecordLogWriter::Open(const std::string& path, bool truncate,
-                                                      FsyncOptions fsync) {
+common::Result<RecordLogWriter> RecordLogWriter::Open(const std::string& path, bool truncate) {
   int flags = O_WRONLY | O_CREAT | (truncate ? O_TRUNC : O_APPEND);
   int fd = ::open(path.c_str(), flags, 0644);
   if (fd < 0) {
@@ -41,14 +23,12 @@ common::Result<RecordLogWriter> RecordLogWriter::Open(const std::string& path, b
   RecordLogWriter writer;
   writer.path_ = path;
   writer.fd_ = fd;
-  writer.fsync_ = fsync;
   return writer;
 }
 
 RecordLogWriter::RecordLogWriter(RecordLogWriter&& other) noexcept
     : path_(std::move(other.path_)),
       fd_(std::exchange(other.fd_, -1)),
-      fsync_(other.fsync_),
       records_written_(other.records_written_) {}
 
 RecordLogWriter& RecordLogWriter::operator=(RecordLogWriter&& other) noexcept {
@@ -56,7 +36,6 @@ RecordLogWriter& RecordLogWriter::operator=(RecordLogWriter&& other) noexcept {
     if (fd_ >= 0) ::close(fd_);
     path_ = std::move(other.path_);
     fd_ = std::exchange(other.fd_, -1);
-    fsync_ = other.fsync_;
     records_written_ = other.records_written_;
   }
   return *this;
@@ -83,12 +62,6 @@ common::Result<bool> RecordLogWriter::Append(const std::string& payload) {
                          "record log append: " + path_ + ": " + std::strerror(errno)};
   }
   ++records_written_;
-  if (fsync_.ShouldSync(records_written_)) {
-    if (::fsync(fd_) != 0) {
-      return common::Error{common::ErrorCode::kIo,
-                           "record log fsync: " + path_ + ": " + std::strerror(errno)};
-    }
-  }
   return true;
 }
 

@@ -10,9 +10,10 @@
 // frame that fails its length or CRC check — a torn tail from a crash mid-append is
 // truncated away rather than treated as corruption of the whole log.
 //
-// Durability is governed by an FsyncOptions cadence (see fsync_policy.h): the default
-// kNever matches the log's advisory role — its records are superseded by the next
-// checkpoint, so the loss window is already bounded by the checkpoint cadence.
+// Appends are never fsynced: the log's records are superseded by the next
+// checkpoint, and a process crash leaves them in the page cache, so the loss
+// window under a machine crash is bounded by the checkpoint cadence
+// (docs/persistence.md).
 #ifndef FOCUS_SRC_STORAGE_RECORD_LOG_H_
 #define FOCUS_SRC_STORAGE_RECORD_LOG_H_
 
@@ -21,7 +22,6 @@
 #include <vector>
 
 #include "src/common/result.h"
-#include "src/storage/fsync_policy.h"
 
 namespace focus::storage {
 
@@ -30,8 +30,7 @@ class RecordLogWriter {
   // Opens |path| for append, creating it when absent. With |truncate| the
   // existing contents are discarded first — the checkpoint-time rotation of a
   // delta log whose records are superseded by the checkpoint they led up to.
-  static common::Result<RecordLogWriter> Open(const std::string& path, bool truncate = false,
-                                              FsyncOptions fsync = FsyncOptions::Never());
+  static common::Result<RecordLogWriter> Open(const std::string& path, bool truncate = false);
 
   RecordLogWriter(RecordLogWriter&& other) noexcept;
   RecordLogWriter& operator=(RecordLogWriter&& other) noexcept;
@@ -39,7 +38,7 @@ class RecordLogWriter {
   RecordLogWriter& operator=(const RecordLogWriter&) = delete;
   ~RecordLogWriter();
 
-  // Appends one record, then syncs per the fsync policy. Injection site
+  // Appends one record (write(2), no fsync). Injection site
   // "record_log.append" produces a genuinely torn tail: half the frame reaches the
   // file before the error returns, exercising the ReadRecordLog recovery path.
   common::Result<bool> Append(const std::string& payload);
@@ -52,7 +51,6 @@ class RecordLogWriter {
 
   std::string path_;
   int fd_ = -1;
-  FsyncOptions fsync_;
   int64_t records_written_ = 0;
 };
 

@@ -1,9 +1,11 @@
 // Crash-recovery tests for the mmap-backed persistent clustering state: a
-// clusterer recovered from arena + undo log + meta snapshot must be
-// indistinguishable from one that processed the same stream prefix without the
-// crash — subsequent assignments, cluster tables, and (through the pipeline)
-// the final top-K index are byte-identical to an uninterrupted run (the
-// `identical: true` discipline of PRs 1-3 applied to durability).
+// ShardedClusterer recovered from its shard arenas + undo logs + sharded.meta
+// must be indistinguishable from one that processed the same stream prefix
+// without the crash — subsequent assignments, cluster tables, and (through
+// the pipeline) the final top-K index are byte-identical to an uninterrupted
+// run. The single-clusterer cases run a one-shard ShardedClusterer (the
+// checkpoint protocol production runs) against a volatile
+// IncrementalClusterer reference.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -70,6 +72,15 @@ ClustererOptions SmallOptions(ClustererOptions::Mode mode) {
   opts.max_active = 24;  // Small cap so retirement (Remove + slot reuse) happens.
   opts.mode = mode;
   opts.lru_probes = 8;
+  return opts;
+}
+
+// The persistent form of a lone clusterer: one shard, whose global ids,
+// assignments and cluster table equal a volatile IncrementalClusterer's.
+ShardedClustererOptions OneShard(ClustererOptions::Mode mode) {
+  ShardedClustererOptions opts;
+  opts.base = SmallOptions(mode);
+  opts.num_shards = 1;
   return opts;
 }
 
@@ -155,8 +166,8 @@ TEST_F(ArenaPersistenceTest, RecoveredAssignmentsByteIdenticalExactMode) {
 
     // Persistent run: checkpoint mid-stream, keep mutating, crash (abandon).
     {
-      auto victim = std::make_unique<IncrementalClusterer>(SmallOptions(mode));
-      auto recovery = victim->OpenOrRecover(dir, "clusterer");
+      auto victim = std::make_unique<ShardedClusterer>(OneShard(mode));
+      auto recovery = victim->OpenOrRecover(dir);
       ASSERT_TRUE(recovery.ok());
       EXPECT_FALSE(recovery->recovered);
       for (size_t i = 0; i < checkpoint_at; ++i) {
@@ -169,11 +180,11 @@ TEST_F(ArenaPersistenceTest, RecoveredAssignmentsByteIdenticalExactMode) {
       }
       // Crash: no final checkpoint; the object is simply dropped.
     }
-    ScribbleCrashDebris(dir + "/clusterer.arena", dir + "/clusterer.undo");
+    ScribbleCrashDebris(dir + "/shard-0.arena", dir + "/shard-0.undo");
 
     // Recover and replay from the checkpointed position.
-    IncrementalClusterer recovered(SmallOptions(mode));
-    auto recovery = recovered.OpenOrRecover(dir, "clusterer");
+    ShardedClusterer recovered(OneShard(mode));
+    auto recovery = recovered.OpenOrRecover(dir);
     ASSERT_TRUE(recovery.ok()) << recovery.error().message;
     ASSERT_TRUE(recovery->recovered);
     ASSERT_EQ(recovery->position, static_cast<int64_t>(checkpoint_at));
@@ -183,7 +194,7 @@ TEST_F(ArenaPersistenceTest, RecoveredAssignmentsByteIdenticalExactMode) {
     }
     EXPECT_EQ(recovered.total_assignments(), reference.total_assignments());
     EXPECT_EQ(recovered.FastHitRate(), reference.FastHitRate());
-    ExpectSameClusters(recovered.clusters(), reference.clusters());
+    ExpectSameClusters(recovered.shard(0).clusters(), reference.clusters());
   }
 }
 
@@ -210,8 +221,8 @@ TEST_F(ArenaPersistenceTest, CrashAtEveryFrameResumesByteIdentical) {
     const size_t crash_at = crash_frame * kObjectsPerFrame;
     int64_t checkpointed_position = 0;
     {
-      IncrementalClusterer victim(SmallOptions(ClustererOptions::Mode::kFast));
-      ASSERT_TRUE(victim.OpenOrRecover(dir, "c").ok());
+      ShardedClusterer victim(OneShard(ClustererOptions::Mode::kFast));
+      ASSERT_TRUE(victim.OpenOrRecover(dir).ok());
       for (size_t i = 0; i < crash_at; ++i) {
         Feed(victim, stream, i);
         const size_t next = i + 1;
@@ -222,10 +233,10 @@ TEST_F(ArenaPersistenceTest, CrashAtEveryFrameResumesByteIdentical) {
       }
       // Crash: drop the victim mid-window, no final checkpoint.
     }
-    ScribbleCrashDebris(dir + "/c.arena", dir + "/c.undo");
+    ScribbleCrashDebris(dir + "/shard-0.arena", dir + "/shard-0.undo");
 
-    IncrementalClusterer recovered(SmallOptions(ClustererOptions::Mode::kFast));
-    auto recovery = recovered.OpenOrRecover(dir, "c");
+    ShardedClusterer recovered(OneShard(ClustererOptions::Mode::kFast));
+    auto recovery = recovered.OpenOrRecover(dir);
     ASSERT_TRUE(recovery.ok()) << "crash frame " << crash_frame << ": "
                                << recovery.error().message;
     ASSERT_EQ(recovery->recovered, checkpointed_position > 0);
@@ -236,7 +247,7 @@ TEST_F(ArenaPersistenceTest, CrashAtEveryFrameResumesByteIdentical) {
           << "crash frame " << crash_frame << ", divergence at " << i;
     }
     ASSERT_EQ(recovered.total_assignments(), reference.total_assignments());
-    ExpectSameClusters(recovered.clusters(), reference.clusters());
+    ExpectSameClusters(recovered.shard(0).clusters(), reference.clusters());
     fs::remove_all(dir);  // Keep the sweep's disk footprint one dir at a time.
   }
 }
@@ -259,13 +270,13 @@ TEST_F(ArenaPersistenceTest, TruncatedUndoTailAtEveryByteOffsetRecovers) {
   }
 
   const std::string dir = Dir("undo-sweep");
-  const std::string undo_path = dir + "/c.undo";
+  const std::string undo_path = dir + "/shard-0.undo";
   const std::string base = Dir("undo-sweep-base");      // State before the last append.
   const std::string staging = Dir("undo-sweep-staging");
   std::string undo_after;  // Full undo contents right after the last append.
   {
-    IncrementalClusterer victim(SmallOptions(ClustererOptions::Mode::kExact));
-    ASSERT_TRUE(victim.OpenOrRecover(dir, "c").ok());
+    ShardedClusterer victim(OneShard(ClustererOptions::Mode::kExact));
+    ASSERT_TRUE(victim.OpenOrRecover(dir).ok());
     for (size_t i = 0; i < checkpoint_at; ++i) {
       Feed(victim, stream, i);
     }
@@ -294,7 +305,7 @@ TEST_F(ArenaPersistenceTest, TruncatedUndoTailAtEveryByteOffsetRecovers) {
     // Crash.
   }
   ASSERT_TRUE(fs::exists(base)) << "no feed logged a pre-image";
-  const uintmax_t base_undo_size = fs::file_size(base + "/c.undo");
+  const uintmax_t base_undo_size = fs::file_size(base + "/shard-0.undo");
   ASSERT_GT(undo_after.size(), base_undo_size);
 
   for (uintmax_t cut = base_undo_size; cut <= undo_after.size(); ++cut) {
@@ -304,8 +315,8 @@ TEST_F(ArenaPersistenceTest, TruncatedUndoTailAtEveryByteOffsetRecovers) {
     undo.write(undo_after.data(), static_cast<std::streamsize>(cut));
     undo.close();
 
-    IncrementalClusterer recovered(SmallOptions(ClustererOptions::Mode::kExact));
-    auto recovery = recovered.OpenOrRecover(dir, "c");
+    ShardedClusterer recovered(OneShard(ClustererOptions::Mode::kExact));
+    auto recovery = recovered.OpenOrRecover(dir);
     ASSERT_TRUE(recovery.ok()) << "cut " << cut << ": " << recovery.error().message;
     ASSERT_TRUE(recovery->recovered);
     ASSERT_EQ(recovery->position, static_cast<int64_t>(checkpoint_at));
@@ -313,7 +324,7 @@ TEST_F(ArenaPersistenceTest, TruncatedUndoTailAtEveryByteOffsetRecovers) {
       ASSERT_EQ(Feed(recovered, stream, i), ref_assignments[i])
           << "cut " << cut << ", divergence at " << i;
     }
-    ExpectSameClusters(recovered.clusters(), reference.clusters());
+    ExpectSameClusters(recovered.shard(0).clusters(), reference.clusters());
   }
   fs::remove_all(base);
 }
@@ -322,42 +333,42 @@ TEST_F(ArenaPersistenceTest, CrashBeforeFirstCheckpointRecoversFresh) {
   const std::string dir = Dir("nocheckpoint");
   const SyntheticStream stream = MakeStream(200, 16, 10, 4, 11);
   {
-    IncrementalClusterer victim(SmallOptions(ClustererOptions::Mode::kExact));
-    auto recovery = victim.OpenOrRecover(dir, "c");
+    ShardedClusterer victim(OneShard(ClustererOptions::Mode::kExact));
+    auto recovery = victim.OpenOrRecover(dir);
     ASSERT_TRUE(recovery.ok());
     for (size_t i = 0; i < stream.detections.size(); ++i) {
       Feed(victim, stream, i);
     }
     // Crash before any Checkpoint: nothing was committed.
   }
-  IncrementalClusterer recovered(SmallOptions(ClustererOptions::Mode::kExact));
-  auto recovery = recovered.OpenOrRecover(dir, "c");
+  ShardedClusterer recovered(OneShard(ClustererOptions::Mode::kExact));
+  auto recovery = recovered.OpenOrRecover(dir);
   ASSERT_TRUE(recovery.ok());
   EXPECT_FALSE(recovery->recovered);
   EXPECT_EQ(recovery->position, 0);
-  EXPECT_EQ(recovered.num_clusters(), 0u);
+  EXPECT_EQ(recovered.shard(0).num_clusters(), 0u);
 }
 
 TEST_F(ArenaPersistenceTest, EmptyCheckpointRoundTrips) {
   const std::string dir = Dir("empty");
   {
-    IncrementalClusterer victim(SmallOptions(ClustererOptions::Mode::kExact));
-    ASSERT_TRUE(victim.OpenOrRecover(dir, "c").ok());
+    ShardedClusterer victim(OneShard(ClustererOptions::Mode::kExact));
+    ASSERT_TRUE(victim.OpenOrRecover(dir).ok());
     // Checkpoint before the first detection ever arrives (an idle stream).
     ASSERT_TRUE(victim.Checkpoint(0).ok());
   }
-  IncrementalClusterer recovered(SmallOptions(ClustererOptions::Mode::kExact));
-  auto recovery = recovered.OpenOrRecover(dir, "c");
+  ShardedClusterer recovered(OneShard(ClustererOptions::Mode::kExact));
+  auto recovery = recovered.OpenOrRecover(dir);
   ASSERT_TRUE(recovery.ok()) << recovery.error().message;
   EXPECT_TRUE(recovery->recovered);
   EXPECT_EQ(recovery->position, 0);
-  EXPECT_EQ(recovered.num_clusters(), 0u);
+  EXPECT_EQ(recovered.shard(0).num_clusters(), 0u);
   // And it keeps working after recovery.
   const SyntheticStream stream = MakeStream(50, 16, 5, 2, 3);
   for (size_t i = 0; i < stream.detections.size(); ++i) {
     Feed(recovered, stream, i);
   }
-  EXPECT_GT(recovered.num_clusters(), 0u);
+  EXPECT_GT(recovered.shard(0).num_clusters(), 0u);
 }
 
 TEST_F(ArenaPersistenceTest, FirstDetectionAfterEmptyCheckpointRecovers) {
@@ -369,8 +380,8 @@ TEST_F(ArenaPersistenceTest, FirstDetectionAfterEmptyCheckpointRecovers) {
   const std::string dir = Dir("late-first-add");
   const SyntheticStream stream = MakeStream(300, 16, 12, 4, 21);
   {
-    IncrementalClusterer victim(SmallOptions(ClustererOptions::Mode::kExact));
-    ASSERT_TRUE(victim.OpenOrRecover(dir, "c").ok());
+    ShardedClusterer victim(OneShard(ClustererOptions::Mode::kExact));
+    ASSERT_TRUE(victim.OpenOrRecover(dir).ok());
     ASSERT_TRUE(victim.Checkpoint(0).ok());  // Idle stream: empty checkpoint.
     for (size_t i = 0; i < stream.detections.size(); ++i) {
       Feed(victim, stream, i);  // Arena initialized + grown, never committed.
@@ -378,16 +389,16 @@ TEST_F(ArenaPersistenceTest, FirstDetectionAfterEmptyCheckpointRecovers) {
     // Crash.
   }
   IncrementalClusterer reference(SmallOptions(ClustererOptions::Mode::kExact));
-  IncrementalClusterer recovered(SmallOptions(ClustererOptions::Mode::kExact));
-  auto recovery = recovered.OpenOrRecover(dir, "c");
+  ShardedClusterer recovered(OneShard(ClustererOptions::Mode::kExact));
+  auto recovery = recovered.OpenOrRecover(dir);
   ASSERT_TRUE(recovery.ok()) << recovery.error().message;
   EXPECT_TRUE(recovery->recovered);
   EXPECT_EQ(recovery->position, 0);
-  EXPECT_EQ(recovered.num_clusters(), 0u);
+  EXPECT_EQ(recovered.shard(0).num_clusters(), 0u);
   for (size_t i = 0; i < stream.detections.size(); ++i) {
     ASSERT_EQ(Feed(recovered, stream, i), Feed(reference, stream, i)) << "at " << i;
   }
-  ExpectSameClusters(recovered.clusters(), reference.clusters());
+  ExpectSameClusters(recovered.shard(0).clusters(), reference.clusters());
 
   // Same window at the sharded layer: shard 4's meta records generation 0 for
   // any shard whose first object arrives after a checkpoint.
@@ -432,11 +443,11 @@ TEST_F(ArenaPersistenceTest, CrashBetweenMetaCommitAndLogRotationRecovers) {
     ref_assignments[i] = Feed(reference, stream, i);
   }
 
-  const std::string undo_path = dir + "/c.undo";
-  const std::string undo_backup = dir + "/c.undo.prerotation";
+  const std::string undo_path = dir + "/shard-0.undo";
+  const std::string undo_backup = dir + "/shard-0.undo.prerotation";
   {
-    IncrementalClusterer victim(SmallOptions(ClustererOptions::Mode::kExact));
-    ASSERT_TRUE(victim.OpenOrRecover(dir, "c").ok());
+    ShardedClusterer victim(OneShard(ClustererOptions::Mode::kExact));
+    ASSERT_TRUE(victim.OpenOrRecover(dir).ok());
     for (size_t i = 0; i < first_checkpoint; ++i) {
       Feed(victim, stream, i);
     }
@@ -452,32 +463,32 @@ TEST_F(ArenaPersistenceTest, CrashBetweenMetaCommitAndLogRotationRecovers) {
   fs::copy_file(undo_backup, undo_path, fs::copy_options::overwrite_existing);
   fs::remove(undo_backup);
 
-  IncrementalClusterer recovered(SmallOptions(ClustererOptions::Mode::kExact));
-  auto recovery = recovered.OpenOrRecover(dir, "c");
+  ShardedClusterer recovered(OneShard(ClustererOptions::Mode::kExact));
+  auto recovery = recovered.OpenOrRecover(dir);
   ASSERT_TRUE(recovery.ok()) << recovery.error().message;
   ASSERT_TRUE(recovery->recovered);
   ASSERT_EQ(recovery->position, static_cast<int64_t>(second_checkpoint));
   for (size_t i = second_checkpoint; i < stream.detections.size(); ++i) {
     ASSERT_EQ(Feed(recovered, stream, i), ref_assignments[i]) << "at " << i;
   }
-  ExpectSameClusters(recovered.clusters(), reference.clusters());
+  ExpectSameClusters(recovered.shard(0).clusters(), reference.clusters());
 }
 
 TEST_F(ArenaPersistenceTest, MismatchedOptionsRefuseRecovery) {
   const std::string dir = Dir("mismatch");
   {
-    IncrementalClusterer victim(SmallOptions(ClustererOptions::Mode::kExact));
-    ASSERT_TRUE(victim.OpenOrRecover(dir, "c").ok());
+    ShardedClusterer victim(OneShard(ClustererOptions::Mode::kExact));
+    ASSERT_TRUE(victim.OpenOrRecover(dir).ok());
     const SyntheticStream stream = MakeStream(100, 16, 10, 4, 5);
     for (size_t i = 0; i < stream.detections.size(); ++i) {
       Feed(victim, stream, i);
     }
     ASSERT_TRUE(victim.Checkpoint(100).ok());
   }
-  ClustererOptions different = SmallOptions(ClustererOptions::Mode::kExact);
-  different.threshold = 0.7;  // Not what the checkpoint was built with.
-  IncrementalClusterer recovered(different);
-  auto recovery = recovered.OpenOrRecover(dir, "c");
+  ShardedClustererOptions different = OneShard(ClustererOptions::Mode::kExact);
+  different.base.threshold = 0.7;  // Not what the checkpoint was built with.
+  ShardedClusterer recovered(different);
+  auto recovery = recovered.OpenOrRecover(dir);
   ASSERT_FALSE(recovery.ok());
   EXPECT_EQ(recovery.error().code, common::ErrorCode::kFailedPrecondition);
 }

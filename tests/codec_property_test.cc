@@ -1,6 +1,7 @@
 // Property tests for the storage formats, parameterized over seeds — the
 // seeded mutation harness (ctest label `fuzz`) for the index image decoder,
-// index::IndexView::Open, and the index file around it:
+// index::IndexView::Open, the index file around it, and the clustering
+// checkpoint meta (sharded.meta, section at the end of this file):
 //   * random structured indexes round-trip bit-exactly through the image and
 //     the index file, and re-assemble to the same bytes;
 //   * random bit flips, truncations and garbage are always rejected;
@@ -16,15 +17,23 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <optional>
 #include <string>
 #include <unistd.h>
 #include <vector>
 
+#include "src/cluster/cluster_codec.h"
+#include "src/cluster/sharded_clusterer.h"
+#include "src/cnn/model_zoo.h"
+#include "src/common/feature_vector.h"
 #include "src/common/rng.h"
+#include "src/core/ingest_pipeline.h"
 #include "src/index/topk_index.h"
 #include "src/storage/index_file.h"
 #include "src/storage/serializer.h"
 #include "src/storage/snapshot_store.h"
+#include "src/video/class_catalog.h"
+#include "src/video/stream_generator.h"
 
 namespace focus::storage {
 namespace {
@@ -511,6 +520,671 @@ TEST_P(CodecRoundTripProperty, SerializerInterleavingsRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecRoundTripProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
+
+// --- sharded.meta: the clustering checkpoint ---------------------------------
+//
+// Corpus: the state directories of real checkpoints — a 1-shard and a 4-shard
+// ShardedClusterer over a synthetic stream, each crashed after its
+// checkpoint, and one persistent RunIngestChecked crashed mid-stream. A
+// mutant replaces sharded.meta with a seeded mutation (bit flips, truncation,
+// length splice, field swap) whose CRC is re-stamped, so only the decoder's
+// own checks can object. The property: OpenOrRecover returns a typed error,
+// or the recovered state keeps assigning, merging and checkpointing, and its
+// own checkpoint recovers. The targeted cases below name one invariant each
+// that the recovered clusterer indexes by.
+
+namespace fs = std::filesystem;
+
+// One shard's bookkeeping blob, split where the targeted mutations edit it:
+// the options echo and cluster table verbatim, then the fast-path maps.
+struct ParsedBookkeeping {
+  std::string table;
+  uint64_t num_clusters = 0;
+  std::vector<std::pair<int64_t, int64_t>> objects;  // (object, cluster)
+  std::vector<int64_t> lru;
+  int64_t counters[3] = {0, 0, 0};
+};
+
+bool ParseBookkeeping(std::string_view bytes, ParsedBookkeeping* out) {
+  Decoder dec(bytes);
+  double threshold = 0.0;
+  uint64_t u = 0;
+  uint8_t mode = 0;
+  if (!dec.GetDouble(&threshold) || !dec.GetVarint(&u) || !dec.GetU8(&mode) ||
+      !dec.GetVarint(&u) || !dec.GetVarint(&u) || !dec.GetVarint(&out->num_clusters)) {
+    return false;
+  }
+  for (uint64_t i = 0; i < out->num_clusters; ++i) {
+    uint8_t active = 0;
+    int64_t size = 0;
+    video::Detection representative;
+    uint64_t runs = 0;
+    if (!dec.GetU8(&active) || !dec.GetSignedVarint(&size) ||
+        !cluster::DecodeDetection(dec, &representative) || !dec.GetVarint(&runs)) {
+      return false;
+    }
+    for (uint64_t r = 0; r < 3 * runs; ++r) {
+      int64_t field = 0;
+      if (!dec.GetSignedVarint(&field)) {
+        return false;
+      }
+    }
+    common::FeatureVec centroid;
+    if (active == 0 && !cluster::DecodeFeatureVec(dec, &centroid)) {
+      return false;
+    }
+  }
+  out->table = std::string(bytes.substr(0, dec.offset()));
+  uint64_t count = 0;
+  if (!dec.GetVarint(&count)) {
+    return false;
+  }
+  out->objects.resize(static_cast<size_t>(count));
+  for (auto& [object, cluster] : out->objects) {
+    if (!dec.GetSignedVarint(&object) || !dec.GetSignedVarint(&cluster)) {
+      return false;
+    }
+  }
+  if (!dec.GetVarint(&count)) {
+    return false;
+  }
+  out->lru.resize(static_cast<size_t>(count));
+  for (int64_t& id : out->lru) {
+    if (!dec.GetSignedVarint(&id)) {
+      return false;
+    }
+  }
+  return dec.GetSignedVarint(&out->counters[0]) && dec.GetSignedVarint(&out->counters[1]) &&
+         dec.GetSignedVarint(&out->counters[2]) && dec.Done();
+}
+
+std::string EncodeBookkeeping(const ParsedBookkeeping& b) {
+  Encoder enc;
+  enc.PutVarint(b.objects.size());
+  for (const auto& [object, cluster] : b.objects) {
+    enc.PutSignedVarint(object);
+    enc.PutSignedVarint(cluster);
+  }
+  enc.PutVarint(b.lru.size());
+  for (int64_t id : b.lru) {
+    enc.PutSignedVarint(id);
+  }
+  for (int64_t c : b.counters) {
+    enc.PutSignedVarint(c);
+  }
+  return b.table + enc.bytes();
+}
+
+// sharded.meta field by field (the layout ShardedClusterer::Checkpoint writes).
+struct ParsedMeta {
+  uint32_t version = 0;
+  std::vector<int64_t> generations;
+  std::vector<ParsedBookkeeping> shards;
+  std::vector<int64_t> parent;
+  std::vector<int64_t> merge_scanned;
+  std::vector<std::vector<std::pair<int64_t, common::FeatureVec>>> candidates;
+  int64_t merges_folded = 0;
+  int64_t position = 0;
+  std::string user_state;
+};
+
+bool ParseMeta(const std::string& blob, ParsedMeta* out) {
+  if (blob.size() < 4) {
+    return false;
+  }
+  Decoder dec(std::string_view(blob).substr(0, blob.size() - 4));
+  uint64_t num_shards = 0;
+  if (!dec.GetU32(&out->version) || !dec.GetVarint(&num_shards)) {
+    return false;
+  }
+  out->generations.resize(num_shards);
+  out->shards.resize(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    uint64_t generation = 0;
+    std::string bookkeeping;
+    if (!dec.GetU64(&generation) || !dec.GetString(&bookkeeping) ||
+        !ParseBookkeeping(bookkeeping, &out->shards[s])) {
+      return false;
+    }
+    out->generations[s] = static_cast<int64_t>(generation);
+  }
+  uint64_t count = 0;
+  if (!dec.GetVarint(&count)) {
+    return false;
+  }
+  out->parent.resize(static_cast<size_t>(count));
+  for (int64_t& p : out->parent) {
+    if (!dec.GetSignedVarint(&p)) {
+      return false;
+    }
+  }
+  out->merge_scanned.resize(num_shards);
+  for (int64_t& scanned : out->merge_scanned) {
+    uint64_t v = 0;
+    if (!dec.GetVarint(&v)) {
+      return false;
+    }
+    scanned = static_cast<int64_t>(v);
+  }
+  out->candidates.resize(num_shards);
+  for (auto& list : out->candidates) {
+    if (!dec.GetVarint(&count)) {
+      return false;
+    }
+    list.resize(static_cast<size_t>(count));
+    for (auto& [local, snapshot] : list) {
+      uint64_t v = 0;
+      if (!dec.GetVarint(&v) || !cluster::DecodeFeatureVec(dec, &snapshot)) {
+        return false;
+      }
+      local = static_cast<int64_t>(v);
+    }
+  }
+  return dec.GetSignedVarint(&out->merges_folded) && dec.GetSignedVarint(&out->position) &&
+         dec.GetString(&out->user_state) && dec.Done();
+}
+
+// The meta payload without its CRC.
+std::string EncodeMetaPayload(const ParsedMeta& m) {
+  Encoder enc;
+  enc.PutU32(m.version);
+  enc.PutVarint(m.shards.size());
+  for (size_t s = 0; s < m.shards.size(); ++s) {
+    enc.PutU64(static_cast<uint64_t>(m.generations[s]));
+    enc.PutString(EncodeBookkeeping(m.shards[s]));
+  }
+  enc.PutVarint(m.parent.size());
+  for (int64_t p : m.parent) {
+    enc.PutSignedVarint(p);
+  }
+  for (int64_t scanned : m.merge_scanned) {
+    enc.PutVarint(static_cast<uint64_t>(scanned));
+  }
+  for (const auto& list : m.candidates) {
+    enc.PutVarint(list.size());
+    for (const auto& [local, snapshot] : list) {
+      enc.PutVarint(static_cast<uint64_t>(local));
+      cluster::EncodeFeatureVec(enc, snapshot);
+    }
+  }
+  enc.PutSignedVarint(m.merges_folded);
+  enc.PutSignedVarint(m.position);
+  enc.PutString(m.user_state);
+  return enc.TakeBytes();
+}
+
+// Seals |payload| with its CRC, as the checkpoint writer does.
+std::string Seal(std::string payload) {
+  Encoder crc;
+  crc.PutU32(Crc32(payload));
+  return payload + crc.bytes();
+}
+
+// A deterministic detection stream: noisy observations of unit archetypes,
+// objects sticking to one archetype, every fifth repeat observation
+// pixel-diff suppressed.
+struct MetaStream {
+  std::vector<video::Detection> detections;
+  std::vector<common::FeatureVec> features;
+  std::vector<bool> suppressed;
+};
+
+constexpr size_t kStreamDim = 16;
+constexpr size_t kStreamLength = 1200;
+constexpr size_t kCheckpointAt = 700;
+constexpr size_t kCrashAt = 900;
+
+MetaStream MakeMetaStream() {
+  constexpr size_t kObjects = 30;
+  common::Pcg32 rng(0x5A4D);
+  std::vector<common::FeatureVec> archetypes;
+  for (int a = 0; a < 8; ++a) {
+    archetypes.push_back(common::RandomUnitVector(kStreamDim, rng));
+  }
+  MetaStream out;
+  for (size_t i = 0; i < kStreamLength; ++i) {
+    video::Detection d;
+    d.object_id = static_cast<common::ObjectId>(i % kObjects);
+    d.frame = static_cast<common::FrameIndex>(i / kObjects);
+    out.detections.push_back(d);
+    out.features.push_back(
+        common::PerturbedUnitVector(archetypes[(i % kObjects) % archetypes.size()], 0.15, rng));
+    out.suppressed.push_back(i >= kObjects && i % 5 == 0);
+  }
+  return out;
+}
+
+cluster::ShardedClustererOptions MetaOptions(size_t num_shards) {
+  cluster::ShardedClustererOptions opts;
+  opts.base.threshold = 0.5;
+  opts.base.max_active = 24;  // Small cap: retirement and slot reuse happen.
+  opts.base.mode = cluster::ClustererOptions::Mode::kFast;
+  opts.base.lru_probes = 8;
+  opts.num_shards = num_shards;
+  return opts;
+}
+
+// Feeds stream detections [begin, end), with a boundary merge pass every 50.
+void FeedMetaStream(cluster::ShardedClusterer& c, const MetaStream& stream, size_t begin,
+                    size_t end) {
+  for (size_t i = begin; i < end; ++i) {
+    if (stream.suppressed[i]) {
+      c.AddSuppressed(stream.detections[i], stream.features[i]);
+    } else {
+      c.Add(stream.detections[i], stream.features[i]);
+    }
+    if ((i + 1) % 50 == 0) {
+      c.BoundaryMergePass();
+    }
+  }
+}
+
+core::IngestParams MetaIngestParams() {
+  core::IngestParams params;
+  params.model = cnn::GenericCheapCandidates(5)[1];
+  params.k = 3;
+  params.cluster_threshold = 0.6;
+  return params;
+}
+
+class ShardedMetaCorpus : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    root_ = new fs::path(fs::temp_directory_path() /
+                         ("focus_meta_corpus_" + std::to_string(::getpid())));
+    fs::remove_all(*root_);
+    stream_ = new MetaStream(MakeMetaStream());
+    for (size_t shards : {size_t{1}, size_t{4}}) {
+      // Checkpoint mid-stream, keep mutating (undo pre-images), crash.
+      cluster::ShardedClusterer victim(MetaOptions(shards));
+      ASSERT_TRUE(victim.OpenOrRecover(ClustererDir(shards)).ok());
+      FeedMetaStream(victim, *stream_, 0, kCheckpointAt);
+      ASSERT_TRUE(victim.Checkpoint(static_cast<int64_t>(kCheckpointAt), "cursor").ok());
+      FeedMetaStream(victim, *stream_, kCheckpointAt, kCrashAt);
+    }
+    catalog_ = new video::ClassCatalog(17);
+    video::StreamProfile profile;
+    ASSERT_TRUE(video::FindProfile("auburn_c", &profile));
+    run_ = new video::StreamRun(catalog_, profile, 20.0, 10.0, 3);
+    cheap_ = new cnn::Cnn(MetaIngestParams().model, catalog_);
+    auto crashed = core::RunIngestChecked(*run_, *cheap_, MetaIngestParams(),
+                                          PipelineOptions(PipelineDir(), run_->num_frames() / 2));
+    ASSERT_TRUE(crashed.ok()) << crashed.error().message;
+  }
+
+  static void TearDownTestSuite() {
+    fs::remove_all(*root_);
+    delete cheap_;
+    delete run_;
+    delete catalog_;
+    delete stream_;
+    delete root_;
+  }
+
+  void TearDown() override { fs::remove_all(WorkDir()); }
+
+  static std::string ClustererDir(size_t shards) {
+    return (*root_ / ("clusterer-" + std::to_string(shards))).string();
+  }
+  static std::string PipelineDir() { return (*root_ / "pipeline").string(); }
+  static std::string WorkDir() { return (*root_ / "work").string(); }
+
+  static core::IngestOptions PipelineOptions(const std::string& dir, int64_t crash_after) {
+    core::IngestOptions opts;
+    opts.persist_dir = dir;
+    opts.checkpoint_every_frames = 16;
+    opts.crash_after_frames = crash_after;
+    return opts;
+  }
+
+  static std::string ReadMeta(const std::string& dir) {
+    auto blob = ReadFile(dir + "/sharded.meta");
+    EXPECT_TRUE(blob.ok());
+    return blob.ok() ? *blob : std::string();
+  }
+
+  // A fresh copy of |base| with its sharded.meta replaced by |meta|.
+  static std::string Stage(const std::string& base, const std::string& meta) {
+    fs::remove_all(WorkDir());
+    fs::copy(base, WorkDir(), fs::copy_options::recursive);
+    EXPECT_TRUE(WriteFileAtomic(WorkDir() + "/sharded.meta", meta).ok());
+    return WorkDir();
+  }
+
+  // Recovers |dir|; on success the clusterer must keep working: a fresh
+  // object (the fast path probes the LRU), the rest of the stream with its
+  // suppressed repeats and merge passes, a checkpoint, a finalize, and a
+  // second recovery of that checkpoint. Returns the recovery error, if any.
+  static std::optional<common::Error> RecoverAndContinue(const std::string& dir,
+                                                          size_t shards) {
+    cluster::ShardedClusterer c(MetaOptions(shards));
+    auto recovery = c.OpenOrRecover(dir);
+    if (!recovery.ok()) {
+      return recovery.error();
+    }
+    video::Detection fresh;
+    fresh.object_id = 1 << 20;
+    c.Add(fresh, stream_->features.front());
+    FeedMetaStream(c, *stream_, kCheckpointAt, kStreamLength);
+    EXPECT_TRUE(c.Checkpoint(static_cast<int64_t>(kStreamLength)).ok());
+    EXPECT_FALSE(c.FinalizeClusters().empty());
+    cluster::ShardedClusterer again(MetaOptions(shards));
+    auto reopened = again.OpenOrRecover(dir);
+    EXPECT_TRUE(reopened.ok()) << reopened.error().message;
+    return std::nullopt;
+  }
+
+  // Resumes the crashed pipeline run in |dir| to the end of the stream.
+  static std::optional<common::Error> ResumePipeline(const std::string& dir) {
+    auto resumed =
+        core::RunIngestChecked(*run_, *cheap_, MetaIngestParams(), PipelineOptions(dir, -1));
+    if (!resumed.ok()) {
+      return resumed.error();
+    }
+    return std::nullopt;
+  }
+
+  static fs::path* root_;
+  static MetaStream* stream_;
+  static video::ClassCatalog* catalog_;
+  static video::StreamRun* run_;
+  static cnn::Cnn* cheap_;
+};
+
+fs::path* ShardedMetaCorpus::root_ = nullptr;
+MetaStream* ShardedMetaCorpus::stream_ = nullptr;
+video::ClassCatalog* ShardedMetaCorpus::catalog_ = nullptr;
+video::StreamRun* ShardedMetaCorpus::run_ = nullptr;
+cnn::Cnn* ShardedMetaCorpus::cheap_ = nullptr;
+
+// Every integer field of |m| that names an id, a count or a cursor — the
+// pool a field swap draws from.
+std::vector<int64_t*> SwappableFields(ParsedMeta& m) {
+  std::vector<int64_t*> fields{&m.merges_folded, &m.position};
+  for (int64_t& g : m.generations) fields.push_back(&g);
+  for (int64_t& p : m.parent) fields.push_back(&p);
+  for (int64_t& scanned : m.merge_scanned) fields.push_back(&scanned);
+  for (auto& list : m.candidates) {
+    for (auto& candidate : list) fields.push_back(&candidate.first);
+  }
+  for (ParsedBookkeeping& b : m.shards) {
+    for (auto& [object, cluster] : b.objects) {
+      fields.push_back(&object);
+      fields.push_back(&cluster);
+    }
+    for (int64_t& id : b.lru) fields.push_back(&id);
+    for (int64_t& c : b.counters) fields.push_back(&c);
+  }
+  return fields;
+}
+
+// One seeded mutant of |meta|, CRC re-stamped.
+std::string Mutate(const std::string& meta, common::Pcg32& rng) {
+  std::string payload = meta.substr(0, meta.size() - 4);
+  auto pos = [&] { return rng.NextBounded(static_cast<uint32_t>(payload.size())); };
+  switch (rng.NextBounded(4)) {
+    case 0: {  // Bit flips.
+      const uint32_t flips = 1 + rng.NextBounded(4);
+      for (uint32_t f = 0; f < flips; ++f) {
+        const size_t at = pos();
+        payload[at] = static_cast<char>(payload[at] ^ (1u << rng.NextBounded(8)));
+      }
+      break;
+    }
+    case 1:  // Truncation.
+      payload.resize(pos());
+      break;
+    case 2: {  // Length splice: drop a span, insert random bytes elsewhere.
+      const size_t at = pos();
+      payload.erase(at, rng.NextBounded(16));
+      std::string inserted(rng.NextBounded(16), '\0');
+      for (char& c : inserted) {
+        c = static_cast<char>(rng.NextBounded(256));
+      }
+      payload.insert(std::min<size_t>(pos(), payload.size()), inserted);
+      break;
+    }
+    default: {  // Field swap.
+      ParsedMeta parsed;
+      if (!ParseMeta(meta, &parsed)) {
+        ADD_FAILURE() << "corpus meta does not parse";
+        break;
+      }
+      std::vector<int64_t*> fields = SwappableFields(parsed);
+      const size_t swaps = 1 + rng.NextBounded(3);
+      for (size_t i = 0; i < swaps; ++i) {
+        std::swap(*fields[rng.NextBounded(static_cast<uint32_t>(fields.size()))],
+                  *fields[rng.NextBounded(static_cast<uint32_t>(fields.size()))]);
+      }
+      payload = EncodeMetaPayload(parsed);
+      break;
+    }
+  }
+  return Seal(payload);
+}
+
+bool IsMetaError(common::ErrorCode code) {
+  return code == common::ErrorCode::kIo || code == common::ErrorCode::kFailedPrecondition;
+}
+
+TEST_F(ShardedMetaCorpus, CorpusMetasRoundTripThroughTheTestCodec) {
+  for (const std::string& dir : {ClustererDir(1), ClustererDir(4), PipelineDir()}) {
+    const std::string meta = ReadMeta(dir);
+    ParsedMeta parsed;
+    ASSERT_TRUE(ParseMeta(meta, &parsed)) << dir;
+    EXPECT_EQ(Seal(EncodeMetaPayload(parsed)), meta) << dir;
+  }
+  // The 4-shard corpus carries merge state for the targeted cases to break.
+  ParsedMeta four;
+  ASSERT_TRUE(ParseMeta(ReadMeta(ClustererDir(4)), &four));
+  EXPECT_FALSE(four.parent.empty());
+  EXPECT_GT(four.merges_folded, 0);
+}
+
+TEST_F(ShardedMetaCorpus, MutatedMetaIsATypedErrorOrKeepsWorking) {
+  for (uint64_t seed : {1, 2, 3, 5, 8, 13, 21, 34, 55, 89}) {
+    common::Pcg32 rng(seed ^ 0x3E7A);
+    int recovered = 0;
+    for (size_t shards : {size_t{1}, size_t{4}}) {
+      const std::string base = ClustererDir(shards);
+      const std::string meta = ReadMeta(base);
+      for (int trial = 0; trial < 24; ++trial) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " shards " + std::to_string(shards) +
+                     " trial " + std::to_string(trial));
+        const auto error = RecoverAndContinue(Stage(base, Mutate(meta, rng)), shards);
+        if (error.has_value()) {
+          EXPECT_TRUE(IsMetaError(error->code)) << error->message;
+          EXPECT_FALSE(error->message.empty());
+        } else {
+          ++recovered;
+        }
+      }
+    }
+    const std::string meta = ReadMeta(PipelineDir());
+    for (int trial = 0; trial < 4; ++trial) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " pipeline trial " + std::to_string(trial));
+      const auto error = ResumePipeline(Stage(PipelineDir(), Mutate(meta, rng)));
+      if (error.has_value()) {
+        EXPECT_TRUE(IsMetaError(error->code) || error->code == common::ErrorCode::kDataLoss)
+            << error->message;
+      }
+    }
+    // Payload floats carry no structure, so some mutants recover — and every
+    // one of them was driven through assignment and a checkpoint above.
+    EXPECT_GT(recovered, 0) << "seed " << seed;
+  }
+}
+
+// Rewrites every entry of the pixel-diff reuse map inside the pipeline blob
+// of |parsed| with |edit|(classes, feature). The blob leads with k, the
+// pixel-diff flag, the detection count and the stage counters, then the map:
+// per entry object, last_seen, the top-K (class, confidence) pairs and the
+// feature.
+template <typename Edit>
+void EditReuseMap(ParsedMeta& parsed, Edit&& edit) {
+  Decoder dec(parsed.user_state);
+  Encoder enc;
+  int64_t i64 = 0;
+  uint8_t u8 = 0;
+  double gpu = 0.0;
+  uint64_t entries = 0;
+  ASSERT_TRUE(dec.GetSignedVarint(&i64));
+  enc.PutSignedVarint(i64);
+  ASSERT_TRUE(dec.GetU8(&u8));
+  enc.PutU8(u8);
+  ASSERT_TRUE(dec.GetSignedVarint(&i64));
+  enc.PutSignedVarint(i64);
+  ASSERT_TRUE(dec.GetDouble(&gpu));
+  enc.PutDouble(gpu);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(dec.GetSignedVarint(&i64));
+    enc.PutSignedVarint(i64);
+  }
+  ASSERT_TRUE(dec.GetVarint(&entries));
+  ASSERT_GT(entries, 0u);
+  enc.PutVarint(entries);
+  for (uint64_t e = 0; e < entries; ++e) {
+    int64_t object = 0;
+    int64_t last_seen = 0;
+    uint64_t width = 0;
+    ASSERT_TRUE(dec.GetSignedVarint(&object) && dec.GetSignedVarint(&last_seen) &&
+                dec.GetVarint(&width));
+    std::vector<int64_t> classes(static_cast<size_t>(width));
+    std::vector<float> confidences(static_cast<size_t>(width));
+    for (size_t w = 0; w < classes.size(); ++w) {
+      ASSERT_TRUE(dec.GetSignedVarint(&classes[w]) && dec.GetFloat(&confidences[w]));
+    }
+    common::FeatureVec feature;
+    ASSERT_TRUE(cluster::DecodeFeatureVec(dec, &feature));
+    edit(classes, feature);
+    enc.PutSignedVarint(object);
+    enc.PutSignedVarint(last_seen);
+    enc.PutVarint(width);
+    for (size_t w = 0; w < classes.size(); ++w) {
+      enc.PutSignedVarint(classes[w]);
+      enc.PutFloat(confidences[w]);
+    }
+    cluster::EncodeFeatureVec(enc, feature);
+  }
+  parsed.user_state = enc.bytes() + parsed.user_state.substr(dec.offset());
+}
+
+// Targeted cases: one invariant each. At a meta that breaks it, recovery
+// must fail with kIo naming the meta path and the shard; were it to succeed,
+// RecoverAndContinue would index past the table it names.
+class ShardedMetaGap : public ShardedMetaCorpus {
+ protected:
+  // Rewrites the |shards|-shard corpus meta with |edit| and expects kIo
+  // naming the meta path and |shard_text|.
+  template <typename Edit>
+  void ExpectRejected(size_t shards, Edit&& edit, const std::string& shard_text) {
+    ParsedMeta parsed;
+    ASSERT_TRUE(ParseMeta(ReadMeta(ClustererDir(shards)), &parsed));
+    edit(parsed);
+    const std::string dir = Stage(ClustererDir(shards), Seal(EncodeMetaPayload(parsed)));
+    const auto error = RecoverAndContinue(dir, shards);
+    ASSERT_TRUE(error.has_value()) << "recovered a meta that breaks the invariant";
+    EXPECT_EQ(error->code, common::ErrorCode::kIo) << error->message;
+    EXPECT_NE(error->message.find(dir + "/sharded.meta"), std::string::npos) << error->message;
+    EXPECT_NE(error->message.find(shard_text), std::string::npos) << error->message;
+  }
+
+  // Resuming the pipeline over a reuse map edited by |edit| must be refused
+  // as undecodable pipeline state (kDataLoss naming the meta).
+  template <typename Edit>
+  void ExpectReuseMapRejected(Edit&& edit) {
+    ParsedMeta parsed;
+    ASSERT_TRUE(ParseMeta(ReadMeta(PipelineDir()), &parsed));
+    EditReuseMap(parsed, edit);
+    const std::string dir = Stage(PipelineDir(), Seal(EncodeMetaPayload(parsed)));
+    const auto error = ResumePipeline(dir);
+    ASSERT_TRUE(error.has_value()) << "resumed over an edited reuse map";
+    EXPECT_EQ(error->code, common::ErrorCode::kDataLoss) << error->message;
+    EXPECT_NE(error->message.find(dir + "/sharded.meta"), std::string::npos) << error->message;
+  }
+};
+
+TEST_F(ShardedMetaGap, UnionFindParentOutOfRange) {
+  ExpectRejected(4, [](ParsedMeta& m) { m.parent.back() = -3; }, "shard ");
+  ExpectRejected(
+      4,
+      [](ParsedMeta& m) {
+        // A parent above its child: the shape a cycle needs.
+        m.parent.front() = static_cast<int64_t>(m.parent.size()) - 1;
+      },
+      "shard 0");
+}
+
+TEST_F(ShardedMetaGap, LruIdPastClusterCount) {
+  ExpectRejected(
+      1,
+      [](ParsedMeta& m) {
+        ASSERT_FALSE(m.shards[0].lru.empty());
+        m.shards[0].lru.front() = static_cast<int64_t>(m.shards[0].num_clusters) + 5;
+      },
+      "shard 0");
+}
+
+TEST_F(ShardedMetaGap, ObjectMapClusterPastClusterCount) {
+  ExpectRejected(
+      1,
+      [](ParsedMeta& m) {
+        ParsedBookkeeping& b = m.shards[0];
+        ASSERT_FALSE(b.objects.empty());
+        for (auto& entry : b.objects) {
+          entry.second = static_cast<int64_t>(b.num_clusters);
+        }
+      },
+      "shard 0");
+}
+
+TEST_F(ShardedMetaGap, MergeCandidatePastClusterCount) {
+  ExpectRejected(
+      4,
+      [](ParsedMeta& m) {
+        ASSERT_FALSE(m.candidates[2].empty());
+        m.candidates[2].back().first = static_cast<int64_t>(m.shards[2].num_clusters) + 3;
+      },
+      "shard 2");
+}
+
+TEST_F(ShardedMetaGap, MergeCandidatesNotAscending) {
+  ExpectRejected(
+      4,
+      [](ParsedMeta& m) {
+        for (size_t s = 1; s < m.candidates.size(); ++s) {
+          ASSERT_GT(m.candidates[s].size(), 1u);
+          std::reverse(m.candidates[s].begin(), m.candidates[s].end());
+        }
+      },
+      "shard 1");
+}
+
+TEST_F(ShardedMetaGap, MergeCandidateSnapshotDimension) {
+  ExpectRejected(
+      4,
+      [](ParsedMeta& m) {
+        ASSERT_FALSE(m.candidates[0].empty());
+        m.candidates[0].front().second.resize(kStreamDim / 2);
+      },
+      "shard 0");
+}
+
+// A reused top-K class past the rank table's class space (generic labels
+// plus OTHER) would index past a rank-table row.
+TEST_F(ShardedMetaGap, ReusedClassPastRankSpace) {
+  ExpectReuseMapRejected([](std::vector<int64_t>& classes, common::FeatureVec&) {
+    std::fill(classes.begin(), classes.end(), video::kNumClasses + 1);
+  });
+}
+
+// A reused feature is assigned like a fresh one, so its dimension must be the
+// arenas'.
+TEST_F(ShardedMetaGap, ReusedFeatureOfAnotherDimension) {
+  ExpectReuseMapRejected([](std::vector<int64_t>&, common::FeatureVec& feature) {
+    feature.resize(feature.size() / 2);
+  });
+}
 
 }  // namespace
 }  // namespace focus::storage

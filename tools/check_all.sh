@@ -6,9 +6,12 @@
 #                      (`ctest -L fleet`: federated identity vs the sequential
 #                      oracle, verdict cache, weighted-fair admission) so the
 #                      serving-runtime gate is named even if labels reshuffle.
-#   2. chaos gate    - `ctest -L fault` (deterministic fault-injection sweeps),
+#   2. chaos gate    - `ctest -L fault` (deterministic fault-injection sweeps
+#                      and arena_persistence_test's crash-resume sweeps:
+#                      crash at every frame, torn undo tail at every byte,
+#                      all on the sharded.meta checkpoint protocol),
 #                      `ctest -L fuzz` (the seeded mutation harness over the
-#                      index image decoder and the index file),
+#                      index image decoder, the index file and sharded.meta),
 #                      `ctest -L shm` (the shared-memory serving plane:
 #                      cross-process byte-identity, pin protocol, reader-crash
 #                      isolation — docs/shm_serving.md), and `ctest -L proc`
@@ -70,7 +73,7 @@ else
   # just their targets.
   cmake --build "$ASAN_DIR" -j"$JOBS" \
     --target fault_injection_test chaos_ingest_test flaky_stream_test \
-    codec_property_test shm_serving_test worker_process_pool_test \
+    arena_persistence_test codec_property_test shm_serving_test worker_process_pool_test \
     proc_serving_chaos_test
   ctest --test-dir "$ASAN_DIR" -L fault --output-on-failure
   ctest --test-dir "$ASAN_DIR" -L fuzz --output-on-failure
