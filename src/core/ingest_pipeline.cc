@@ -1,11 +1,19 @@
 #include "src/core/ingest_pipeline.h"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -114,26 +122,24 @@ class BestRankTable {
 // The pixel-differencing detection stage (IT1 + §4.2), shared by live ingest
 // and ClassifySample: a detection whose crop matched its object's previous
 // sampled frame reuses that frame's classification and feature; every other
-// detection runs the cheap CNN. The reuse map is node-based, so the pointers
-// Process returns stay valid until the same object is classified afresh or
-// evicted.
+// detection runs the cheap CNN.
 class DetectionStage {
  public:
   DetectionStage(const cnn::Cnn& cnn, int k, bool use_pixel_diff)
       : cnn_(cnn), k_(k), use_pixel_diff_(use_pixel_diff) {}
 
-  struct Output {
-    const cnn::TopKResult* topk = nullptr;
-    const common::FeatureVec* feature = nullptr;
-    bool reused = false;
-  };
-
-  Output Process(const video::Detection& d, common::FrameIndex frame) {
+  // Classifies |d| into |out|. Every field is copy-assigned, so an |out|
+  // reused across frames keeps its buffers' capacity.
+  void Process(const video::Detection& d, common::FrameIndex frame, ClassifiedDetection* out) {
+    out->detection = d;
     if (use_pixel_diff_ && d.pixel_diff_suppressed) {
       if (auto it = last_.find(d.object_id); it != last_.end()) {
         ++suppressed_;
         it->second.last_seen = frame;
-        return {&it->second.topk, &it->second.feature, true};
+        out->topk = it->second.topk;
+        out->feature = it->second.feature;
+        out->reused = true;
+        return;
       }
     }
     ++cnn_invocations_;
@@ -142,7 +148,9 @@ class DetectionStage {
     entry.topk = cnn_.Classify(d, k_);
     entry.feature = cnn_.ExtractFeature(d);
     entry.last_seen = frame;
-    return {&entry.topk, &entry.feature, false};
+    out->topk = entry.topk;
+    out->feature = entry.feature;
+    out->reused = false;
   }
 
   // Pixel differencing only ever reuses the result of the same object's
@@ -165,7 +173,9 @@ class DetectionStage {
     out->suppressed = suppressed_;
   }
 
-  void EncodeTo(storage::Encoder& enc) const {
+  // The stage's part of the checkpoint blob (IngestEngine::EncodeState).
+  std::string Encode() const {
+    storage::Encoder enc;
     enc.PutDouble(gpu_millis_);
     enc.PutSignedVarint(cnn_invocations_);
     enc.PutSignedVarint(suppressed_);
@@ -180,6 +190,7 @@ class DetectionStage {
       }
       cluster::EncodeFeatureVec(enc, entry.feature);
     }
+    return enc.TakeBytes();
   }
 
   // |feature_dim| is the dimension the recovered clusterer arenas fixed: a
@@ -581,14 +592,13 @@ class IngestEngine {
   // Returns the sampled frame to resume from (0 on a fresh start).
   common::Result<common::FrameIndex> Open(DetectionStage* stage) {
     FOCUS_CHECK(options_.checkpoint_every_frames >= 1);
-    stage_ = stage;
     auto recovery = clusterer_->OpenOrRecover(options_.persist_dir);
     if (!recovery.ok()) {
       FOCUS_LOG(kError) << "ingest recovery failed: " << recovery.error().message;
       return recovery.error();
     }
     if (recovery->recovered) {
-      if (!DecodeState(recovery->user_state)) {
+      if (!DecodeState(recovery->user_state, stage)) {
         // The meta snapshot passed its CRC but the pipeline blob inside does
         // not parse: durable state from a future/corrupt writer. Not retryable.
         return common::DataLoss("ingest pipeline state undecodable: " + options_.persist_dir +
@@ -603,6 +613,10 @@ class IngestEngine {
     }
     return resumed_from_;
   }
+
+  // The first cadence boundary AdvanceTo has yet to cross (meaningless
+  // without a cadence).
+  common::FrameIndex next_boundary() const { return next_boundary_; }
 
   // Queues one classified detection; the references must stay valid until
   // the next Assign (which a full queue triggers itself).
@@ -656,18 +670,15 @@ class IngestEngine {
   // Checkpoint step (persistent runs only): durably commits the state at
   // sampled-frame |position|, retrying a transiently failing commit in place
   // (the protocol is re-runnable after any partial failure: the meta rename
-  // is the single commit point). A periodic checkpoint first evicts idle
-  // reuse-map entries; the end-of-stream seal keeps them. Builds still in
-  // flight publish first: a same-frame snapshot is observable no later than
-  // the checkpoint that captures its post-boundary state.
-  common::Result<bool> Checkpoint(common::FrameIndex position, bool seal) {
-    FOCUS_CHECK(stage_ != nullptr);
+  // is the single commit point). |stage_state| is the detection stage's
+  // DetectionStage::Encode output cut at the same position — the engine
+  // never reads the stage itself, which runs on another thread. Builds still
+  // in flight publish first: a same-frame snapshot is observable no later
+  // than the checkpoint that captures its post-boundary state.
+  common::Result<bool> Checkpoint(common::FrameIndex position, std::string_view stage_state) {
     Assign();
-    if (!seal) {
-      stage_->EvictIdle(position - 1, options_.reuse_evict_gap_frames);
-    }
     finalizer_.FlushBuilds();
-    const std::string encoded = EncodeState();
+    const std::string encoded = EncodeState(stage_state);
     return common::RetryWithBackoff(options_.checkpoint_retry, [&] {
       return clusterer_->Checkpoint(position, encoded, pool_);
     });
@@ -705,18 +716,19 @@ class IngestEngine {
   // The opaque blob checkpointed alongside the clusterer snapshot. Leads with
   // a pipeline options echo validated on resume: continuing a stream with a
   // different top-K width or suppression setting would silently mix two
-  // configurations' semantics.
-  std::string EncodeState() const {
+  // configurations' semantics. The detection stage's part arrives encoded
+  // (its thread cut it) and is spliced between the engine's own fields.
+  std::string EncodeState(std::string_view stage_state) const {
     storage::Encoder enc;
     enc.PutSignedVarint(k_);
     enc.PutU8(options_.use_pixel_diff ? 1 : 0);
     enc.PutSignedVarint(detections_);
-    stage_->EncodeTo(enc);
+    enc.PutRaw(stage_state);
     ranks_.EncodeTo(enc);
     return enc.TakeBytes();
   }
 
-  bool DecodeState(std::string_view blob) {
+  bool DecodeState(std::string_view blob, DetectionStage* stage) {
     // Every detection the stage classified was assigned before the
     // checkpoint, so a shard arena exists and fixes the feature dimension.
     size_t feature_dim = 0;
@@ -728,7 +740,7 @@ class IngestEngine {
     uint8_t pixel_diff = 0;
     return dec.GetSignedVarint(&k) && k == k_ && dec.GetU8(&pixel_diff) &&
            (pixel_diff != 0) == options_.use_pixel_diff && dec.GetSignedVarint(&detections_) &&
-           stage_->DecodeFrom(dec, feature_dim) && ranks_.DecodeFrom(dec) && dec.Done();
+           stage->DecodeFrom(dec, feature_dim) && ranks_.DecodeFrom(dec) && dec.Done();
   }
 
   const IngestOptions& options_;
@@ -740,7 +752,6 @@ class IngestEngine {
   cluster::ShardedClusterer* clusterer_ = nullptr;
   std::unique_ptr<runtime::WorkerPool> owned_pool_;
   runtime::WorkerPool* pool_ = nullptr;  // Null at one shard.
-  DetectionStage* stage_ = nullptr;      // Set by Open (persistent runs).
   BestRankTable ranks_;
   WindowedFinalizer finalizer_;
   int64_t detections_ = 0;
@@ -752,8 +763,155 @@ class IngestEngine {
   std::vector<int64_t> out_;
 };
 
+// One sampled frame of the live front end, classified by the detection stage
+// and not yet consumed by the engine. Slots are reused round the FrameRing:
+// detections are copy-assigned into elements that keep their buffers, so the
+// steady state allocates nothing.
+struct FrameBatch {
+  common::FrameIndex frame = 0;
+  size_t size = 0;  // The frame's detections: the first |size| elements.
+  std::vector<ClassifiedDetection> detections;
+  // Set on a checkpoint frame: the stage's state after the frame, for the
+  // checkpoint at frame + 1 (IngestEngine::Checkpoint).
+  bool checkpoint = false;
+  std::string stage_state;
+
+  ClassifiedDetection* Append() {
+    if (size == detections.size()) {
+      detections.emplace_back();
+    }
+    return &detections[size++];
+  }
+};
+
+// The handoff between RunIngestChecked's two stages: a fixed ring of
+// FrameBatch slots the detection stage fills in frame order on its own thread
+// and the engine drains in the same order on the calling thread. The engine
+// sleeps until a frame it must act on promptly is queued (a cadence boundary,
+// a checkpoint, the end of the sweep) or kWakeFrames frames are: waking it
+// per frame costs more in futex wakes than most frames' work.
+class FrameRing {
+ public:
+  static constexpr size_t kSlots = 256;
+  static constexpr size_t kWakeFrames = 32;
+
+  // Detection stage: the slot to fill next (blocks while the ring is full),
+  // or null once the engine stopped.
+  FrameBatch* Claim() {
+    std::unique_lock<std::mutex> lock(mu_);
+    sweep_waiting_ = true;
+    sweep_cv_.wait(lock, [&] { return stopped() || produced_ - consumed_ < kSlots; });
+    sweep_waiting_ = false;
+    return stopped() ? nullptr : &slots_[produced_ % kSlots];
+  }
+
+  // Detection stage: queues the claimed slot; |urgent| wakes the engine.
+  void Push(bool urgent) {
+    bool wake = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++produced_;
+      if (urgent) {
+        urgent_through_ = produced_;
+      }
+      wake = engine_waiting_ && (urgent || produced_ - consumed_ >= kWakeFrames);
+    }
+    if (wake) {
+      engine_cv_.notify_one();
+    }
+  }
+
+  // Detection stage: the sweep ended; nothing more will be pushed.
+  void Close() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      closed_ = true;
+    }
+    engine_cv_.notify_one();
+  }
+
+  // Checked by the detection stage once per frame, without the lock.
+  bool stopped() const { return stopped_.load(std::memory_order_relaxed); }
+
+  // Engine: blocks until frames are ready and returns how many; the oldest
+  // is Front(). 0 means the sweep closed and every frame was consumed.
+  size_t Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    engine_waiting_ = true;
+    engine_cv_.wait(lock, [&] {
+      return closed_ || urgent_through_ > consumed_ || produced_ - consumed_ >= kWakeFrames;
+    });
+    engine_waiting_ = false;
+    return static_cast<size_t>(produced_ - consumed_);
+  }
+
+  FrameBatch& Front() { return slots_[consumed_ % kSlots]; }
+
+  // Engine: frees the Front() slot.
+  void Pop() {
+    bool wake = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++consumed_;
+      wake = sweep_waiting_;
+    }
+    if (wake) {
+      sweep_cv_.notify_one();
+    }
+  }
+
+  // Engine: abandons the run. The detection stage fills no further slot and
+  // never blocks again.
+  void Stop() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stopped_.store(true, std::memory_order_relaxed);
+    }
+    sweep_cv_.notify_one();
+  }
+
+ private:
+  std::vector<FrameBatch> slots_ = std::vector<FrameBatch>(kSlots);
+  std::mutex mu_;
+  std::condition_variable engine_cv_;
+  std::condition_variable sweep_cv_;
+  // Frames pushed and popped so far; slot i % kSlots holds frame i.
+  // consumed_ is also read without the lock by Front(), on the engine's
+  // thread, which alone writes it.
+  uint64_t produced_ = 0;
+  uint64_t consumed_ = 0;
+  uint64_t urgent_through_ = 0;  // produced_ as of the last urgent Push.
+  bool closed_ = false;
+  std::atomic<bool> stopped_{false};  // Written under the lock.
+  bool engine_waiting_ = false;
+  bool sweep_waiting_ = false;
+};
+
+// Runs the calling thread as SCHED_BATCH (best effort; Linux only). The
+// detection stage is throughput work, and on a paced (live) stream it sleeps
+// and wakes once per frame. A batch thread keeps its nice level, so its share
+// of a contended CPU is unchanged, but its wake-ups never preempt a running
+// thread — on a serving host, a query being answered; it takes the CPU at the
+// next scheduler tick or idle core instead. As an ordinary thread, its
+// per-frame wakes preempted 12-29% of the live queries served beside two
+// paced streams (varying from run to run); as a batch thread, under 1%.
+void RunAsBatchThread() {
+#ifdef SCHED_BATCH
+  sched_param param{};
+  (void)pthread_setschedparam(pthread_self(), SCHED_BATCH, &param);
+#endif
+}
+
 }  // namespace
 
+// Two stages, one frame loop. The detection stage runs on a spawned thread:
+// the frame sweep, pixel differencing and the cheap CNN, each frame copied
+// into a FrameRing slot; at a checkpoint frame it also evicts idle reuse
+// entries and encodes its own part of the checkpoint into the slot. The
+// engine stays on the calling thread — assignment, boundary merges and cuts,
+// the synchronous snapshot sink and checkpoint commits (with their fault
+// sites) — consuming the slots in frame order, so every result, snapshot and
+// checkpoint byte equals a serial run's.
 common::Result<IngestResult> RunIngestChecked(const video::StreamRun& run,
                                               const cnn::Cnn& ingest_cnn,
                                               const IngestParams& params,
@@ -773,42 +931,83 @@ common::Result<IngestResult> RunIngestChecked(const video::StreamRun& run,
   const common::FrameIndex crash_frame = persistent && options.crash_after_frames >= 0
                                              ? resume_frame + options.crash_after_frames
                                              : -1;
+  const int64_t every = options.finalize_every_frames;
 
-  int64_t frames_since_checkpoint = 0;
-  bool crashed = false;
-  std::optional<common::Error> failure;
-  const video::SweepStats sweep =
-      run.ForEachFrame([&](common::FrameIndex frame, const std::vector<video::Detection>& dets) {
-    if (crashed || failure.has_value() || frame < resume_frame || frame >= limit_frame) {
-      return;
-    }
-    if (crash_frame >= 0 && frame >= crash_frame) {
-      crashed = true;  // Simulated worker crash: abandon mid-stream.
-      return;
-    }
-    // One frame is one batch: the stage's reuse pointers and |dets| are only
-    // valid for this frame.
-    for (const video::Detection& d : dets) {
-      const DetectionStage::Output staged = stage.Process(d, frame);
-      engine.Enqueue(d, *staged.feature, *staged.topk, staged.reused);
-    }
-    engine.Assign();
-    // Publish before the checkpoint so a checkpoint at the same frame captures
-    // the post-boundary merge state: a resumed run then restarts past the
-    // boundary exactly as the uninterrupted run left it, while a crash before
-    // the checkpoint replays the boundary pass from the prior one. Snapshots
-    // themselves are volatile — never checkpointed — and are republished from
-    // live state after the resumed run crosses its next boundary.
-    engine.AdvanceTo(frame + 1);
-    if (persistent && ++frames_since_checkpoint >= options.checkpoint_every_frames) {
-      auto checkpointed = engine.Checkpoint(frame + 1, /*seal=*/false);
-      if (!checkpointed.ok()) {
-        failure = checkpointed.error();
+  FrameRing ring;
+  bool crashed = false;  // Written by the detection stage, read after the join.
+  video::SweepStats sweep;
+  std::thread detection_stage([&, next_boundary = engine.next_boundary()]() mutable {
+    RunAsBatchThread();
+    int64_t frames_since_checkpoint = 0;
+    sweep = run.ForEachFrame([&](common::FrameIndex frame,
+                                 const std::vector<video::Detection>& dets) {
+      if (crashed || ring.stopped() || frame < resume_frame || frame >= limit_frame) {
         return;
       }
-      frames_since_checkpoint = 0;
-    }
+      if (crash_frame >= 0 && frame >= crash_frame) {
+        crashed = true;  // Simulated worker crash: abandon mid-stream.
+        return;
+      }
+      FrameBatch* batch = ring.Claim();
+      if (batch == nullptr) {
+        return;  // The engine failed a checkpoint.
+      }
+      batch->frame = frame;
+      batch->size = 0;
+      for (const video::Detection& d : dets) {
+        stage.Process(d, frame, batch->Append());
+      }
+      batch->checkpoint =
+          persistent && ++frames_since_checkpoint >= options.checkpoint_every_frames;
+      if (batch->checkpoint) {
+        frames_since_checkpoint = 0;
+        stage.EvictIdle(frame, options.reuse_evict_gap_frames);
+        batch->stage_state = stage.Encode();
+      }
+      // The engine crosses a cadence boundary at this frame (AdvanceTo).
+      const bool boundary = every > 0 && frame + 1 >= next_boundary;
+      if (boundary) {
+        next_boundary = ((frame + 1) / every + 1) * every;
+      }
+      ring.Push(boundary || batch->checkpoint);
+    });
+    ring.Close();
   });
+
+  std::optional<common::Error> failure;
+  while (!failure.has_value()) {
+    size_t ready = ring.Wait();
+    if (ready == 0) {
+      break;  // The sweep ended and every frame was consumed.
+    }
+    for (; ready > 0; --ready) {
+      const FrameBatch& batch = ring.Front();
+      // One frame is one batch: the slot is reused once popped.
+      for (size_t i = 0; i < batch.size; ++i) {
+        const ClassifiedDetection& c = batch.detections[i];
+        engine.Enqueue(c.detection, c.feature, c.topk, c.reused);
+      }
+      engine.Assign();
+      // Publish before the checkpoint so a checkpoint at the same frame
+      // captures the post-boundary merge state: a resumed run then restarts
+      // past the boundary exactly as the uninterrupted run left it, while a
+      // crash before the checkpoint replays the boundary pass from the prior
+      // one. Snapshots themselves are volatile — never checkpointed — and are
+      // republished from live state after the resumed run crosses its next
+      // boundary.
+      engine.AdvanceTo(batch.frame + 1);
+      if (batch.checkpoint) {
+        auto checkpointed = engine.Checkpoint(batch.frame + 1, batch.stage_state);
+        if (!checkpointed.ok()) {
+          failure = checkpointed.error();
+          ring.Stop();
+          break;
+        }
+      }
+      ring.Pop();
+    }
+  }
+  detection_stage.join();
 
   IngestResult counts;
   stage.CopyCounts(&counts);
@@ -829,8 +1028,9 @@ common::Result<IngestResult> RunIngestChecked(const video::StreamRun& run,
   }
   if (persistent) {
     // Seal the end of the stream, then finalize in memory: a crash during
-    // the final merge resumes at the sealed position and re-finalizes.
-    auto sealed = engine.Checkpoint(limit_frame, /*seal=*/true);
+    // the final merge resumes at the sealed position and re-finalizes. The
+    // seal keeps idle reuse entries (no eviction).
+    auto sealed = engine.Checkpoint(limit_frame, stage.Encode());
     if (!sealed.ok()) {
       return sealed.error();
     }
@@ -855,18 +1055,15 @@ ClassifiedSample ClassifySample(const video::StreamRun& run, const cnn::Cnn& ing
   sample.fps = run.fps();
   DetectionStage stage(ingest_cnn, k, options.use_pixel_diff);
   const common::FrameIndex limit_frame = LimitFrame(run, options);
-  const video::SweepStats sweep = run.ForEachFrame([&](common::FrameIndex frame,
-                                                       const std::vector<video::Detection>& dets) {
+  run.ForEachFrame([&](common::FrameIndex frame, const std::vector<video::Detection>& dets) {
     if (frame >= limit_frame) {
       return;
     }
     for (const video::Detection& d : dets) {
-      const DetectionStage::Output staged = stage.Process(d, frame);
-      sample.detections.push_back({d, *staged.topk, *staged.feature, staged.reused});
+      stage.Process(d, frame, &sample.detections.emplace_back());
     }
   });
   stage.CopyCounts(&sample);
-  sample.delivery_aborted = sweep.aborted;
   return sample;
 }
 

@@ -8,13 +8,17 @@
 //
 // One ingest engine does steps 2-4 for every entry point. It always drives a
 // cluster::ShardedClusterer (num_shards >= 1; one shard assigns inline on the
-// calling thread) and has one assign+rank step, one boundary step (the
+// engine's thread) and has one assign+rank step, one boundary step (the
 // cross-shard boundary merge plus, with a consumer attached, the snapshot
 // cut), one checkpoint step and one finish step. Two thin front ends feed it:
-//   - RunIngest / RunIngestChecked: a live StreamRun through the pixel-diff
-//     detection stage (step 1), which ClassifySample shares;
+//   - RunIngest / RunIngestChecked: a live StreamRun, in two stages. The
+//     detection stage (step 1: the frame sweep, pixel differencing and the
+//     cheap CNN, which ClassifySample shares) runs on a thread of its own,
+//     one stage ahead, and hands classified frames through a bounded ring to
+//     the engine, which stays on the calling thread — so the synchronous
+//     snapshot sink, the slot swaps and the checkpoint commits run there;
 //   - RunIngestClassified: a stored ClassifiedSample (the tuner's
-//     classify-once, re-cluster-many sweep).
+//     classify-once, re-cluster-many sweep), all on the calling thread.
 // Persistence (options.persist_dir) and snapshot publication
 // (options.finalize_every_frames with a slot or sink) are optional policies
 // of the same engine, not separate loops. Boundary merging is the only
@@ -103,8 +107,9 @@ struct IngestOptions {
   // LatestSnapshot().
   SnapshotSlot* snapshot_slot = nullptr;
   // Optional observer invoked with every published snapshot (after the slot
-  // swap, if any); tests and benches use it to capture each epoch. With
-  // background_publish it runs on the builder thread.
+  // swap, if any); tests and benches use it to capture each epoch. It runs on
+  // the thread that called the ingest entry point, or with
+  // background_publish on the builder thread.
   std::function<void(std::shared_ptr<const LiveSnapshot>)> snapshot_sink;
   // Background publication: index assembly and the slot swap move to one
   // dedicated builder thread (core::SnapshotBuilder) fed a self-contained cut
@@ -159,7 +164,9 @@ IngestResult RunIngest(const video::StreamRun& run, const cnn::Cnn& ingest_cnn,
 // aborted mid-recording (SweepStats::aborted) — surfaces as a typed error
 // instead of a crash. Retryable codes (see common::IsRetryable) mean a
 // restarted worker resumes from the last checkpoint (persistent path) or from
-// scratch (volatile path) and can converge to the no-fault result.
+// scratch (volatile path) and can converge to the no-fault result. The call
+// spawns the detection-stage thread (|run|'s ForEachFrame runs there, as a
+// SCHED_BATCH thread on Linux) and joins it before returning, on every path.
 common::Result<IngestResult> RunIngestChecked(const video::StreamRun& run,
                                               const cnn::Cnn& ingest_cnn,
                                               const IngestParams& params,
@@ -190,10 +197,6 @@ struct ClassifiedSample {
   // Recording rate of the classified stream (stamped onto published snapshots
   // for time-range planning).
   double fps = 30.0;
-  // True when the sweep stopped early (FlakyStreamRun mid-stream restart): the
-  // sample covers a prefix of the recording only. Checked callers treat this
-  // as a retryable failure rather than silently indexing the prefix.
-  bool delivery_aborted = false;
 };
 
 // Runs the classification stage only (IT1 + pixel differencing) over |run|,

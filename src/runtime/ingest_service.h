@@ -87,6 +87,9 @@ struct LiveStreamContext {
 };
 
 struct IngestServiceOptions {
+  // Streams ingested at once. Each running worker also spawns its stream's
+  // detection-stage thread (core::RunIngestChecked), so a busy service runs
+  // two threads per worker.
   int num_worker_threads = 4;
   int num_gpus = 1;
   // Intra-stream clustering shards (core::IngestOptions::num_shards): > 0

@@ -35,6 +35,8 @@ class Encoder {
   void PutFloat(float v);
   // Varint length prefix, then raw bytes.
   void PutString(std::string_view s);
+  // Raw bytes, no prefix: splices another encoder's output in place.
+  void PutRaw(std::string_view s) { bytes_.append(s.data(), s.size()); }
 
   template <typename T, typename Fn>
   void PutVector(const std::vector<T>& items, Fn&& put_one) {

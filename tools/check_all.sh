@@ -6,7 +6,8 @@
 #                      (`ctest -L fleet`: federated identity vs the sequential
 #                      oracle, verdict cache, weighted-fair admission) so the
 #                      serving-runtime gate is named even if labels reshuffle.
-#   2. chaos gate    - `ctest -L fault` (deterministic fault-injection sweeps
+#   2. chaos gate    - `ctest -L fault` (deterministic fault-injection sweeps,
+#                      the two-stage ingest stop paths of ingest_pipeline_test
 #                      and arena_persistence_test's crash-resume sweeps:
 #                      crash at every frame, torn undo tail at every byte,
 #                      all on the sharded.meta checkpoint protocol),
@@ -35,7 +36,13 @@
 #                      fleet_query_service_test builds an 8-camera fixture of
 #                      30 s streams instead of 32 cameras of 60 s (its Release
 #                      fixture, gate 1, is unchanged); every case runs at
-#                      that size, none is filtered out.
+#                      that size, none is filtered out. Then `ctest -L ingest`
+#                      (chaos_ingest_test, flaky_stream_test,
+#                      ingest_replay_test, ingest_pipeline_test) race-checks
+#                      live ingest's crossing: the detection-stage thread
+#                      filling the frame ring while the engine drains it,
+#                      through checkpoint failures, stream aborts, simulated
+#                      crashes and supervised restarts.
 #   4. bench gate    - `bench/run_benches.sh --check`: the tracked perf
 #                      guardrails, including bench_chaos's no-fault overhead
 #                      of the robustness machinery and bench_live_query's
@@ -73,8 +80,8 @@ else
   # just their targets.
   cmake --build "$ASAN_DIR" -j"$JOBS" \
     --target fault_injection_test chaos_ingest_test flaky_stream_test \
-    arena_persistence_test codec_property_test shm_serving_test worker_process_pool_test \
-    proc_serving_chaos_test
+    arena_persistence_test ingest_pipeline_test codec_property_test shm_serving_test \
+    worker_process_pool_test proc_serving_chaos_test
   ctest --test-dir "$ASAN_DIR" -L fault --output-on-failure
   ctest --test-dir "$ASAN_DIR" -L fuzz --output-on-failure
   ctest --test-dir "$ASAN_DIR" -L shm --output-on-failure
@@ -84,14 +91,16 @@ fi
 if [ "${FOCUS_SKIP_TSAN:-0}" = "1" ]; then
   echo "== gate 3/4: SKIPPED (FOCUS_SKIP_TSAN=1) =="
 else
-  echo "== gate 3/4: stress + fleet suites under ThreadSanitizer =="
+  echo "== gate 3/4: stress + fleet + ingest suites under ThreadSanitizer =="
   cmake -S "$REPO_DIR" -B "$TSAN_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DFOCUS_SANITIZE=thread
   cmake --build "$TSAN_DIR" -j"$JOBS" \
     --target worker_pool_stress_test live_query_stress_test \
-    background_publish_stress_test fleet_zipf_live_test fleet_query_service_test
+    background_publish_stress_test fleet_zipf_live_test fleet_query_service_test \
+    chaos_ingest_test flaky_stream_test ingest_replay_test ingest_pipeline_test
   ctest --test-dir "$TSAN_DIR" -L stress --output-on-failure
   ctest --test-dir "$TSAN_DIR" -L fleet --output-on-failure
+  ctest --test-dir "$TSAN_DIR" -L ingest --output-on-failure
 fi
 
 echo "== gate 4/4: bench guardrails =="
