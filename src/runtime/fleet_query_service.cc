@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/common/retry.h"
 
 namespace focus::runtime {
 
@@ -15,10 +17,18 @@ size_t MixHash(size_t seed, size_t value) {
   return seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
-// The typed error of a verdict whose launch stayed failed past |policy|.
-common::Error LaunchFailed(const common::RetryPolicy& policy) {
+// Retry policy for GT-CNN launches that fail or time out (injected via the
+// "gpu.launch" / "gpu.timeout" fault sites): each retry re-submits at the
+// cluster's then-current frontier plus the policy's exponential backoff, all
+// in virtual time. A launch that stays failed marks every execution whose
+// verdicts it carried with QueryExecution::error.
+constexpr common::RetryPolicy kLaunchRetry{};
+
+// The typed error of a verdict whose launch stayed failed past kLaunchRetry.
+common::Error LaunchFailed() {
   return common::Unavailable("GT-CNN launch failed after " +
-                             std::to_string(std::max(1, policy.max_attempts)) + " attempts");
+                             std::to_string(std::max(1, kLaunchRetry.max_attempts)) +
+                             " attempts");
 }
 
 }  // namespace
@@ -293,7 +303,7 @@ std::vector<FleetQueryService::UnitOutcome> FleetQueryService::ExecuteUnitsLocke
     // policy's exponential backoff — all virtual time, nothing sleeps. A
     // timeout occupied a device for the full cost (wasted and accounted); a
     // rejection never reached a device.
-    const common::RetryPolicy& policy = options_.launch_retry;
+    const common::RetryPolicy& policy = kLaunchRetry;
     const int max_attempts = std::max(1, policy.max_attempts);
     double backoff = policy.initial_backoff_millis;
     common::GpuMillis at = submit;
@@ -367,7 +377,7 @@ QueryExecution FleetQueryService::ResolveUnit(const Unit& unit, const UnitOutcom
   execution.submit_millis = submit;
   execution.finish_millis = outcome.finish_millis;
   if (outcome.failed) {
-    execution.error = LaunchFailed(options_.launch_retry);
+    execution.error = LaunchFailed();
     return execution;
   }
   execution.result = unit.stream != nullptr
@@ -377,26 +387,15 @@ QueryExecution FleetQueryService::ResolveUnit(const Unit& unit, const UnitOutcom
   return execution;
 }
 
-QueryExecution FleetQueryService::Execute(const FleetQueryRequest& request) {
-  return ExecuteConcurrently({request})[0];
-}
-
-std::vector<QueryExecution> FleetQueryService::ExecuteConcurrently(
-    const std::vector<FleetQueryRequest>& requests) {
-  // Plan outside the service lock: planning only reads immutable indexes and
-  // pinned snapshots.
-  std::vector<Unit> units;
-  units.reserve(requests.size());
-  for (const FleetQueryRequest& request : requests) {
-    units.push_back(UnitFromRequest(request));
-  }
-
+FleetQueryService::Admission FleetQueryService::Admit(const std::vector<Unit>& units,
+                                                      int64_t requests) {
   // Fully-cached fast path: probe the striped cache without |mu_|. If every
   // work item of the admission hits (or duplicates an earlier item), nothing
   // launches — the admission finishes at the cluster's current frontier — so
-  // concurrent warm HandleLine calls contend only on their verdicts' stripes,
-  // never on the service-wide lock. Any miss falls through to the pooled slow
-  // path; verdicts are pure functions of the centroid, so the two paths are
+  // concurrent warm HandleLine calls skip classification and launches, and
+  // hold |mu_| only briefly below to commit counters, check the epoch and
+  // read the frontier. Any miss falls through to the pooled slow path;
+  // verdicts are pure functions of the centroid, so the two paths are
   // byte-identical and differ only in stats/latency accounting, which this
   // path replicates (same hit/dedup counting as phase 1 of the slow path).
   struct FastProbe {
@@ -430,9 +429,8 @@ std::vector<QueryExecution> FleetQueryService::ExecuteConcurrently(
     }
   }
 
-  std::unique_lock<std::mutex> lock(mu_);
-  common::GpuMillis submit = 0.0;
-  std::vector<UnitOutcome> outcomes;
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.requests += requests;
   bool fast = probe.complete;
   if (fast) {
     // Commit requires that no unit carries an epoch the service hasn't seen:
@@ -446,30 +444,48 @@ std::vector<QueryExecution> FleetQueryService::ExecuteConcurrently(
       }
     }
   }
-  stats_.requests += static_cast<int64_t>(requests.size());
-  if (fast) {
-    stats_.work_items += probe.items;
-    stats_.cache_hits += probe.hits;
-    stats_.dedup_hits += probe.dups;
-    submit = cluster_.EarliestFree();
-    stats_.cache_size = CacheSize();
-    metrics_->IncrementCounter("fleet.admissions");
-    metrics_->IncrementCounter("fleet.cache_hits", probe.hits);
-    metrics_->Observe("fleet.admission_launches", 0.0);
-    outcomes.reserve(units.size());
-    for (size_t u = 0; u < units.size(); ++u) {
-      outcomes.push_back(UnitOutcome{std::move(probe.verdicts[u]), submit, false});
-    }
-    lock.unlock();  // Resolution reads only the units and outcomes.
-  } else {
-    outcomes = ExecuteUnitsLocked(units, &submit);
+  Admission admission;
+  if (!fast) {
+    admission.outcomes = ExecuteUnitsLocked(units, &admission.submit);
+    return admission;
   }
+  stats_.work_items += probe.items;
+  stats_.cache_hits += probe.hits;
+  stats_.dedup_hits += probe.dups;
+  admission.submit = cluster_.EarliestFree();
+  stats_.cache_size = CacheSize();
+  metrics_->IncrementCounter("fleet.admissions");
+  metrics_->IncrementCounter("fleet.cache_hits", probe.hits);
+  metrics_->Observe("fleet.admission_launches", 0.0);
+  admission.outcomes.reserve(units.size());
+  for (size_t u = 0; u < units.size(); ++u) {
+    admission.outcomes.push_back(
+        UnitOutcome{std::move(probe.verdicts[u]), admission.submit, false});
+  }
+  return admission;
+}
+
+QueryExecution FleetQueryService::Execute(const FleetQueryRequest& request) {
+  return ExecuteConcurrently({request})[0];
+}
+
+std::vector<QueryExecution> FleetQueryService::ExecuteConcurrently(
+    const std::vector<FleetQueryRequest>& requests) {
+  // Plan outside the service lock: planning only reads immutable indexes and
+  // pinned snapshots.
+  std::vector<Unit> units;
+  units.reserve(requests.size());
+  for (const FleetQueryRequest& request : requests) {
+    units.push_back(UnitFromRequest(request));
+  }
+  const Admission admission = Admit(units, static_cast<int64_t>(requests.size()));
 
   std::vector<QueryExecution> executions;
   executions.reserve(units.size());
   for (size_t u = 0; u < units.size(); ++u) {
-    QueryExecution execution = ResolveUnit(units[u], outcomes[u], submit);
+    QueryExecution execution = ResolveUnit(units[u], admission.outcomes[u], admission.submit);
     metrics_->IncrementCounter("fleet.requests");
+    CountTenantRequest(requests[u].tenant);
     if (execution.error.has_value()) {
       metrics_->IncrementCounter("fleet.requests_failed");
     } else {
@@ -482,384 +498,66 @@ std::vector<QueryExecution> FleetQueryService::ExecuteConcurrently(
 
 FederatedExecution FleetQueryService::ExecuteFederated(const core::FederatedPlan& plan,
                                                        const std::string& tenant) {
-  // Routed through the tenant DRR queues, not executed immediately: the plan
-  // enqueues as one entry under |tenant| and the drain admits it in
-  // weighted-fair rounds against whatever other tenants already have queued —
-  // a federated caller waits its turn exactly like queued single-camera
-  // traffic. Other entries the drain completes along the way stay buffered
-  // for their own DrainAdmitted/TakeFederated callers.
-  std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t ticket = EnqueueLocked(tenant, PendingEntry{std::nullopt, plan, nullptr});
-  DrainRoundsLocked();
-  auto it = completed_federated_.find(ticket);
-  // The drain runs until every queue is empty: an entry over the round budget
-  // is split, never parked.
-  FOCUS_CHECK(it != completed_federated_.end());
-  FederatedExecution execution = std::move(it->second);
-  completed_federated_.erase(it);
-  return execution;
+  // The fan-out is one admission of one unit per camera: its cameras share
+  // dedup, cache, and launches, and it counts as one request.
+  std::vector<Unit> units;
+  units.reserve(plan.cameras.size());
+  for (const core::FederatedCameraPlan& camera : plan.cameras) {
+    units.push_back(UnitFromFederated(camera));
+  }
+  const Admission admission = Admit(units, /*requests=*/1);
+
+  FederatedExecution federated;
+  federated.submit_millis = admission.submit;
+  federated.finish_millis = admission.submit;
+  std::vector<core::QueryResult> per_camera;
+  per_camera.reserve(units.size());
+  for (size_t u = 0; u < units.size(); ++u) {
+    QueryExecution execution = ResolveUnit(units[u], admission.outcomes[u], admission.submit);
+    federated.finish_millis = std::max(federated.finish_millis, execution.finish_millis);
+    if (execution.error.has_value() && !federated.error.has_value()) {
+      federated.error = execution.error;
+    }
+    per_camera.push_back(std::move(execution.result));
+  }
+  federated.result = core::MergeFederatedResults(plan, std::move(per_camera));
+  CountTenantRequest(tenant);
+  metrics_->IncrementCounter("fleet.federated_queries");
+  metrics_->IncrementCounter("fleet.federated_cameras", static_cast<int64_t>(units.size()));
+  if (federated.error.has_value()) {
+    metrics_->IncrementCounter("fleet.requests_failed");
+  } else {
+    metrics_->Observe("fleet.latency_millis", federated.latency_millis());
+  }
+  return federated;
 }
 
 common::Result<std::vector<common::ClassId>> FleetQueryService::ClassifySessionPlan(
     const std::string& camera, const core::FocusStream& stream, const core::QueryPlan& plan) {
-  std::lock_guard<std::mutex> lock(mu_);
   Unit unit;
   unit.camera = camera;
   unit.plan = plan;
   unit.gt = &stream.gt_cnn();
-  stats_.requests += 1;
-  common::GpuMillis submit = 0.0;
-  std::vector<UnitOutcome> outcomes = ExecuteUnitsLocked({std::move(unit)}, &submit);
+  Admission admission = Admit({std::move(unit)}, /*requests=*/1);
   metrics_->IncrementCounter("fleet.session_expansions");
-  if (outcomes[0].failed) {
-    return LaunchFailed(options_.launch_retry);
+  if (admission.outcomes[0].failed) {
+    return LaunchFailed();
   }
-  return std::move(outcomes[0].verdicts);
+  return std::move(admission.outcomes[0].verdicts);
 }
 
-void FleetQueryService::SetTenantWeight(const std::string& tenant, double weight) {
-  FOCUS_CHECK(weight > 0.0);
-  std::lock_guard<std::mutex> lock(mu_);
-  tenant_weights_[tenant] = weight;
-}
-
-uint64_t FleetQueryService::EnqueueLocked(const std::string& tenant, PendingEntry entry) {
-  const uint64_t ticket = next_ticket_++;
-  auto& queue = queues_[tenant];
-  queue.emplace_back(ticket, std::move(entry));
-  metrics_->IncrementCounter("fleet.enqueued");
-  metrics_->IncrementCounter("fleet.tenant." + tenant + ".enqueued");
-  metrics_->SetGauge("fleet.tenant." + tenant + ".queue_depth",
-                     static_cast<double>(queue.size()));
-  return ticket;
-}
-
-uint64_t FleetQueryService::Enqueue(FleetQueryRequest request) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::string tenant = request.tenant;
-  return EnqueueLocked(tenant, PendingEntry{std::move(request), std::nullopt, nullptr});
-}
-
-uint64_t FleetQueryService::EnqueueFederated(core::FederatedPlan plan,
-                                             const std::string& tenant) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return EnqueueLocked(tenant, PendingEntry{std::nullopt, std::move(plan), nullptr});
-}
-
-void FleetQueryService::DrainRoundsLocked() {
-  // Deficit round robin over tenants in name order: each round a tenant earns
-  // its weight in credits and dequeues one entry per whole credit (FIFO
-  // within the tenant; a federated plan is one entry however many cameras it
-  // fans out to). Every round executes as ONE pooled admission — all its
-  // entries' units share dedup, cache, and launches, and later rounds submit
-  // at the advanced cluster frontier with earlier rounds' verdicts already
-  // cached. Completions land in |completed_| / |completed_federated_|.
-  //
-  // With |round_cost_budget_millis| set, a tenant's round additionally admits
-  // only while the estimated GT-CNN cost fits the budget. An entry whose cost
-  // alone exceeds a whole round's budget can never be admitted in one piece;
-  // the packer splits it into budget-sized slices executed across consecutive
-  // rounds (one credit per slice, queue-front slot held until the final
-  // slice). Verdicts are pure functions of their centroids, so accumulating
-  // them per unit across slices and resolving against the full plan is
-  // byte-identical to unsplit execution.
-  const double budget = options_.round_cost_budget_millis;
-  auto materialize = [this](PendingEntry& entry) -> SplitProgress& {
-    if (entry.progress == nullptr) {
-      auto progress = std::make_shared<SplitProgress>();
-      if (entry.request.has_value()) {
-        progress->units.push_back(UnitFromRequest(*entry.request));
-      } else {
-        progress->units.reserve(entry.federated->cameras.size());
-        for (const core::FederatedCameraPlan& camera : entry.federated->cameras) {
-          progress->units.push_back(UnitFromFederated(camera));
-        }
-      }
-      entry.progress = std::move(progress);
-    }
-    return *entry.progress;
-  };
-  auto item_cost = [](const Unit& unit) -> double {
-    return unit.gt != nullptr ? unit.gt->batch_cost_model().EstimateMillis(1) : 0.0;
-  };
-  auto remaining_cost = [&item_cost](const SplitProgress& progress) -> double {
-    double cost = 0.0;
-    for (size_t u = progress.next_unit; u < progress.units.size(); ++u) {
-      const size_t done = u == progress.next_unit ? progress.next_item : 0;
-      cost += static_cast<double>(progress.units[u].plan.work.size() - done) *
-              item_cost(progress.units[u]);
-    }
-    return cost;
-  };
-  std::map<std::string, double> credit;
-  bool work_left = true;
-  while (work_left) {
-    struct Admitted {
-      uint64_t ticket = 0;
-      PendingEntry entry;
-      size_t unit_begin = 0;
-      size_t unit_count = 0;
-    };
-    // One budget-sized span of items cut from a split entry's unit this round.
-    struct Slice {
-      std::shared_ptr<SplitProgress> progress;
-      size_t prog_unit = 0;
-      size_t item_begin = 0;
-      size_t item_count = 0;
-      size_t exec_index = 0;
-    };
-    // Split entries whose final slice runs this round: they complete after it.
-    struct Finishing {
-      uint64_t ticket = 0;
-      PendingEntry entry;
-    };
-    std::vector<Admitted> round;
-    std::vector<Slice> slices;
-    std::vector<Finishing> finishing;
-    work_left = false;
-    for (auto& [tenant, queue] : queues_) {
-      if (queue.empty()) {
-        continue;
-      }
-      auto weight_it = tenant_weights_.find(tenant);
-      credit[tenant] += weight_it != tenant_weights_.end() ? weight_it->second : 1.0;
-      int64_t admitted = 0;
-      double spent = 0.0;
-      while (credit[tenant] >= 1.0 && !queue.empty()) {
-        PendingEntry& front = queue.front().second;
-        // |resumed| = at least one slice of this entry already executed; its
-        // accumulated verdicts force it through the slice path regardless of
-        // what its remaining cost would fit.
-        const bool resumed = front.progress != nullptr && !front.progress->partial.empty();
-        if (budget <= 0.0) {
-          // Unbudgeted: admit the whole entry (the historical behavior).
-          credit[tenant] -= 1.0;
-          ++admitted;
-          round.push_back(Admitted{queue.front().first, std::move(front), 0, 0});
-          queue.pop_front();
-          continue;
-        }
-        if (!resumed) {
-          const double cost = remaining_cost(materialize(front));
-          if (spent + cost <= budget) {
-            credit[tenant] -= 1.0;
-            ++admitted;
-            spent += cost;
-            round.push_back(Admitted{queue.front().first, std::move(front), 0, 0});
-            queue.pop_front();
-            continue;
-          }
-          if (cost <= budget) {
-            break;  // Fits a fresh round's budget; resume next round.
-          }
-        }
-        if (spent > 0.0) {
-          break;  // A slice always starts on a fresh round's whole budget.
-        }
-        // Cut one budget-sized slice off the front entry. The entry keeps its
-        // queue-front slot until the final slice.
-        SplitProgress& progress = materialize(front);
-        if (!resumed) {
-          stats_.plans_split += 1;
-          metrics_->IncrementCounter("fleet.plans_split");
-          stats_.requests += 1;  // A split entry is still one request.
-        }
-        credit[tenant] -= 1.0;
-        ++admitted;
-        metrics_->IncrementCounter("fleet.plan_slices");
-        bool took = false;
-        double slice_cost = 0.0;
-        while (progress.next_unit < progress.units.size()) {
-          const Unit& unit = progress.units[progress.next_unit];
-          if (progress.next_item >= unit.plan.work.size()) {
-            ++progress.next_unit;
-            progress.next_item = 0;
-            continue;
-          }
-          const size_t remaining = unit.plan.work.size() - progress.next_item;
-          size_t take = remaining;
-          const double per_item = item_cost(unit);
-          if (per_item > 0.0) {
-            const double room = (budget - slice_cost) / per_item;
-            if (room < 1.0) {
-              if (took) {
-                break;
-              }
-              take = 1;  // Liveness: every slice moves at least one item.
-            } else {
-              take = std::min(remaining, static_cast<size_t>(room));
-            }
-          }
-          slices.push_back(
-              Slice{front.progress, progress.next_unit, progress.next_item, take, 0});
-          slice_cost += static_cast<double>(take) * per_item;
-          progress.next_item += take;
-          took = true;
-          if (slice_cost >= budget) {
-            break;
-          }
-        }
-        spent += slice_cost;
-        while (progress.next_unit < progress.units.size() &&
-               progress.next_item >= progress.units[progress.next_unit].plan.work.size()) {
-          ++progress.next_unit;
-          progress.next_item = 0;
-        }
-        if (progress.next_unit >= progress.units.size()) {
-          finishing.push_back(Finishing{queue.front().first, std::move(front)});
-          queue.pop_front();
-        }
-        break;  // The slice consumed this tenant's round.
-      }
-      if (admitted > 0) {
-        metrics_->IncrementCounter("fleet.tenant." + tenant + ".admitted", admitted);
-        metrics_->SetGauge("fleet.tenant." + tenant + ".queue_depth",
-                           static_cast<double>(queue.size()));
-      }
-      work_left = work_left || !queue.empty();
-    }
-    if (round.empty() && slices.empty() && finishing.empty()) {
-      // Nothing admitted: every non-empty tenant is still accruing fractional
-      // credit (a tenant holding a whole credit always admits an entry or a
-      // slice of one).
-      continue;
-    }
-    std::vector<Unit> units;
-    for (Admitted& admitted : round) {
-      admitted.unit_begin = units.size();
-      if (admitted.entry.progress != nullptr) {
-        // Cost estimation already planned this entry; reuse its units.
-        for (Unit& unit : admitted.entry.progress->units) {
-          units.push_back(std::move(unit));
-        }
-        admitted.entry.progress.reset();
-      } else if (admitted.entry.request.has_value()) {
-        units.push_back(UnitFromRequest(*admitted.entry.request));
-      } else {
-        for (const core::FederatedCameraPlan& camera : admitted.entry.federated->cameras) {
-          units.push_back(UnitFromFederated(camera));
-        }
-      }
-      admitted.unit_count = units.size() - admitted.unit_begin;
-    }
-    for (Slice& slice : slices) {
-      // Classification-only sub-unit: ExecuteUnitsLocked reads camera, epoch,
-      // plan.work, and gt; resolution happens against the full unit at the
-      // final slice, so stream/snapshot stay null here.
-      const Unit& source = slice.progress->units[slice.prog_unit];
-      Unit exec;
-      exec.camera = source.camera;
-      exec.epoch = source.epoch;
-      exec.gt = source.gt;
-      exec.plan = source.plan;
-      exec.plan.work.assign(
-          source.plan.work.begin() + static_cast<ptrdiff_t>(slice.item_begin),
-          source.plan.work.begin() + static_cast<ptrdiff_t>(slice.item_begin + slice.item_count));
-      slice.exec_index = units.size();
-      units.push_back(std::move(exec));
-    }
-    stats_.requests += static_cast<int64_t>(round.size());
-    common::GpuMillis submit = 0.0;
-    const std::vector<UnitOutcome> outcomes = ExecuteUnitsLocked(units, &submit);
-    for (const Slice& slice : slices) {
-      SplitProgress& progress = *slice.progress;
-      if (progress.partial.empty()) {
-        progress.partial.resize(progress.units.size());
-        for (size_t u = 0; u < progress.units.size(); ++u) {
-          progress.partial[u].verdicts.assign(progress.units[u].plan.work.size(),
-                                              common::ClassId{});
-          progress.partial[u].finish_millis = submit;
-        }
-        progress.first_submit = submit;
-      }
-      const UnitOutcome& outcome = outcomes[slice.exec_index];
-      UnitOutcome& into = progress.partial[slice.prog_unit];
-      into.failed = into.failed || outcome.failed;
-      into.finish_millis = std::max(into.finish_millis, outcome.finish_millis);
-      const size_t copied = std::min(slice.item_count, outcome.verdicts.size());
-      for (size_t i = 0; i < copied; ++i) {
-        into.verdicts[slice.item_begin + i] = outcome.verdicts[i];
-      }
-    }
-    auto complete = [this](uint64_t ticket, PendingEntry& entry, const Unit* entry_units,
-                           const UnitOutcome* entry_outcomes, size_t count,
-                           common::GpuMillis entry_submit) {
-      if (entry.request.has_value()) {
-        QueryExecution execution = ResolveUnit(entry_units[0], entry_outcomes[0], entry_submit);
-        metrics_->IncrementCounter("fleet.requests");
-        if (execution.error.has_value()) {
-          metrics_->IncrementCounter("fleet.requests_failed");
-        } else {
-          metrics_->Observe("fleet.latency_millis", execution.latency_millis());
-        }
-        completed_.emplace_back(ticket, std::move(execution));
+void FleetQueryService::CountTenantRequest(const std::string& tenant) {
+  {
+    std::lock_guard<std::mutex> lock(tenants_mu_);
+    if (!counted_tenants_.contains(tenant)) {
+      if (counted_tenants_.size() >= kMaxCountedTenants) {
+        metrics_->IncrementCounter("fleet.tenant_overflow.requests");
         return;
       }
-      const core::FederatedPlan& plan = *entry.federated;
-      FederatedExecution federated;
-      federated.submit_millis = entry_submit;
-      federated.finish_millis = entry_submit;
-      std::vector<core::QueryResult> per_camera;
-      per_camera.reserve(count);
-      for (size_t u = 0; u < count; ++u) {
-        QueryExecution execution = ResolveUnit(entry_units[u], entry_outcomes[u], entry_submit);
-        federated.finish_millis = std::max(federated.finish_millis, execution.finish_millis);
-        if (execution.error.has_value() && !federated.error.has_value()) {
-          federated.error = execution.error;
-        }
-        per_camera.push_back(std::move(execution.result));
-      }
-      federated.result = core::MergeFederatedResults(plan, std::move(per_camera));
-      metrics_->IncrementCounter("fleet.federated_queries");
-      metrics_->IncrementCounter("fleet.federated_cameras", static_cast<int64_t>(count));
-      if (federated.error.has_value()) {
-        metrics_->IncrementCounter("fleet.requests_failed");
-      } else {
-        metrics_->Observe("fleet.latency_millis", federated.latency_millis());
-      }
-      completed_federated_.emplace(ticket, std::move(federated));
-    };
-    for (Admitted& admitted : round) {
-      complete(admitted.ticket, admitted.entry, units.data() + admitted.unit_begin,
-               outcomes.data() + admitted.unit_begin, admitted.unit_count, submit);
-    }
-    for (Finishing& fin : finishing) {
-      SplitProgress& progress = *fin.entry.progress;
-      complete(fin.ticket, fin.entry, progress.units.data(), progress.partial.data(),
-               progress.units.size(), progress.first_submit);
+      counted_tenants_.insert(tenant);
     }
   }
-  for (auto it = queues_.begin(); it != queues_.end();) {
-    it = it->second.empty() ? queues_.erase(it) : std::next(it);
-  }
-}
-
-std::vector<std::pair<uint64_t, QueryExecution>> FleetQueryService::DrainAdmitted() {
-  std::lock_guard<std::mutex> lock(mu_);
-  DrainRoundsLocked();
-  return std::exchange(completed_, {});
-}
-
-std::optional<FederatedExecution> FleetQueryService::TakeFederated(uint64_t ticket) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = completed_federated_.find(ticket);
-  if (it == completed_federated_.end()) {
-    return std::nullopt;
-  }
-  FederatedExecution execution = std::move(it->second);
-  completed_federated_.erase(it);
-  return execution;
-}
-
-std::map<std::string, size_t> FleetQueryService::QueueDepths() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, size_t> depths;
-  for (const auto& [tenant, queue] : queues_) {
-    if (!queue.empty()) {
-      depths[tenant] = queue.size();
-    }
-  }
-  return depths;
+  metrics_->IncrementCounter("fleet.tenant." + tenant + ".requests");
 }
 
 FleetServiceStats FleetQueryService::stats() const {

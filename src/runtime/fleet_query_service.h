@@ -28,14 +28,18 @@
 //    least-loaded device) so heterogeneous GT-CNNs pack by cost, not by count.
 //    batch_size = 1 is the per-centroid fan-out: one launch per fresh
 //    centroid at full single-inference cost.
-//  - Per-tenant admission queues with weighted-fair (deficit round-robin)
-//    dequeue: a burst of analyst queries drains in rounds interleaved with
-//    dashboard traffic instead of ahead of it, so no tenant's latency is a
-//    function of another tenant's backlog depth.
+//  - One admission path: a single request, a pooled batch, a federated
+//    fan-out and a session step each become planned units admitted by the
+//    same function — a probe of the striped cache without the service lock
+//    answers a fully-cached admission (which then takes the lock only to
+//    commit its accounting), anything else is classified under the lock at
+//    the cluster's current frontier. Tenants only attribute traffic (the
+//    `fleet.tenant.<t>.requests` counter, for the first 64 distinct names);
+//    they are never queued.
 //
 // Identity contract: results are byte-identical to per-camera sequential
 // execution (core::FocusFleet::ExecuteFederatedSequential) no matter how work
-// was packed, what the cache held, or in which order tenants were admitted.
+// was packed or what the cache held.
 // Caching and packing change when and at what amortized cost a verdict is
 // produced — never its value. QueryResult::gpu_millis stays the
 // execution-independent per-centroid figure; the launch-amortized cost the
@@ -46,19 +50,17 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "src/common/result.h"
-#include "src/common/retry.h"
 #include "src/core/fleet.h"
 #include "src/core/focus_stream.h"
 #include "src/core/live_snapshot.h"
@@ -96,7 +98,7 @@ struct QueryExecution {
   common::GpuMillis submit_millis = 0.0;
   common::GpuMillis finish_millis = 0.0;
   // Set when a GT-CNN launch carrying this request's verdicts stayed failed
-  // past QueryServiceOptions::launch_retry: |result| is then the
+  // past the service's launch retry policy: |result| is then the
   // default-constructed empty answer and must not be served as authoritative
   // (the server layer degrades or errors; docs/robustness.md).
   std::optional<common::Error> error;
@@ -114,27 +116,14 @@ struct QueryServiceOptions {
   // Verdict cache capacity in entries. The cache never grows past this; LRU
   // eviction and epoch retirement keep it bounded under any query mix.
   size_t verdict_cache_capacity = 1 << 20;
-  // Retry policy for GT-CNN launches that fail or time out (injected via the
-  // "gpu.launch" / "gpu.timeout" fault sites): each retry re-submits at the
-  // cluster's then-current frontier plus the policy's exponential backoff, all
-  // in virtual time. A launch that stays failed marks every execution whose
-  // verdicts it carried with QueryExecution::error.
-  common::RetryPolicy launch_retry;
-  // Per-tenant, per-round admission cost budget in estimated GPU milliseconds
-  // (Σ work items × the GT-CNN's batch-size-1 cost estimate). A tenant's round
-  // admits entries while the budget lasts; 0 disables budgeting (admission is
-  // limited by DRR credit alone). A plan whose cost alone exceeds a whole
-  // round's budget is split into budget-sized slices executed across
-  // consecutive rounds — one DRR credit per slice, the entry holding its
-  // queue-front slot until the final slice, verdicts accumulated per unit and
-  // resolved against the full plan (byte-identical to unsplit execution: a
-  // verdict is a pure function of its centroid).
-  double round_cost_budget_millis = 0.0;
 };
 
 // One request to the fleet service. |camera| is the verdict-cache identity and
 // must name the same target across requests (it is the camera's registry name
 // in a served deployment); |query| carries the target and the query itself.
+// |tenant| only attributes the request (the `fleet.tenant.<t>.requests`
+// counter; names past the first 64 share `fleet.tenant_overflow.requests`);
+// it never changes when or how the request runs.
 struct FleetQueryRequest {
   std::string camera;
   std::string tenant = "default";
@@ -154,7 +143,6 @@ struct FleetServiceStats {
   int64_t launch_retries = 0;
   int64_t launches_failed = 0;
   common::GpuMillis wasted_gpu_millis = 0.0;
-  int64_t plans_split = 0;    // Oversized entries executed as budget slices.
   int64_t cache_evicted = 0;  // Capacity (LRU) evictions.
   int64_t cache_retired = 0;  // Epoch-retirement evictions.
   size_t cache_size = 0;      // Current entries (bounded by capacity).
@@ -186,7 +174,10 @@ class FleetQueryService {
   FleetQueryService& operator=(const FleetQueryService&) = delete;
 
   // Executes one request through the shared cache/cluster. Thread-safe:
-  // concurrent callers serialize on the service and see each other's verdicts.
+  // concurrent callers see each other's verdicts. Cold requests classify one
+  // admission at a time under the service lock; a fully-cached request skips
+  // classification and launches and holds that lock only to commit counters,
+  // check the epoch and read the cluster frontier.
   QueryExecution Execute(const FleetQueryRequest& request);
 
   // Executes a batch admitted together: work is pooled, deduplicated and
@@ -194,15 +185,11 @@ class FleetQueryService {
   // request order.
   std::vector<QueryExecution> ExecuteConcurrently(const std::vector<FleetQueryRequest>& requests);
 
-  // Executes a federated fan-out (core::FocusFleet::PlanFederated) through the
-  // tenant admission queues: the plan is enqueued under |tenant| as ONE entry
-  // and drained in weighted-fair rounds against whatever other tenants have
-  // queued — a federated burst from one tenant interleaves with (never jumps
-  // ahead of) other tenants' backlogs. Within its round the fan-out still
-  // executes as one pooled admission (all cameras share dedup, cache, and
-  // launches) and the merged result is byte-identical to
-  // ExecuteFederatedSequential on the same plan. Other entries drained by the
-  // same call are buffered for the next DrainAdmitted()/TakeFederated().
+  // Executes a federated fan-out (core::FocusFleet::PlanFederated) as one
+  // pooled admission — all cameras share dedup, cache, and launches — and
+  // merges the per-camera results; the merged result is byte-identical to
+  // ExecuteFederatedSequential on the same plan. |tenant| attributes the
+  // fan-out as one request.
   FederatedExecution ExecuteFederated(const core::FederatedPlan& plan,
                                       const std::string& tenant = "default");
 
@@ -215,41 +202,6 @@ class FleetQueryService {
   // cached, so a retry re-pays only the failed ones).
   common::Result<std::vector<common::ClassId>> ClassifySessionPlan(
       const std::string& camera, const core::FocusStream& stream, const core::QueryPlan& plan);
-
-  // --- Admission (weighted-fair tenant queues) ---
-
-  // Sets |tenant|'s scheduling weight (default 1.0; must be > 0). A tenant
-  // with weight w is admitted w requests per round (fractional weights
-  // accumulate deficit credit across rounds).
-  void SetTenantWeight(const std::string& tenant, double weight);
-
-  // Enqueues under request.tenant; returns a ticket to match the execution in
-  // DrainAdmitted()'s output. Nothing executes until a drain.
-  uint64_t Enqueue(FleetQueryRequest request);
-
-  // Enqueues a federated plan under |tenant| as one admission entry (one DRR
-  // credit — a fan-out competes as a single request, however many cameras it
-  // touches). The execution is retrieved with TakeFederated(ticket) after a
-  // drain.
-  uint64_t EnqueueFederated(core::FederatedPlan plan, const std::string& tenant = "default");
-
-  // Drains every queue in weighted-fair rounds: each round admits up to
-  // weight(t) entries per tenant (tenants in name order, FIFO within a
-  // tenant) and executes the round as ONE pooled admission — federated
-  // entries' cameras and single requests share dedup, cache, and launches —
-  // so a later round's requests see earlier rounds' verdicts cached and
-  // submit at the advanced cluster frontier. Returns single-request
-  // (ticket, execution) pairs in completion order, including any buffered by
-  // an earlier ExecuteFederated-triggered drain; federated executions are
-  // claimed via TakeFederated.
-  std::vector<std::pair<uint64_t, QueryExecution>> DrainAdmitted();
-
-  // Claims the completed execution of a drained federated ticket (nullopt if
-  // the ticket is unknown or still queued).
-  std::optional<FederatedExecution> TakeFederated(uint64_t ticket);
-
-  // Queue depth per tenant with queued work (empty map = nothing queued).
-  std::map<std::string, size_t> QueueDepths() const;
 
   FleetServiceStats stats() const;
   const QueryServiceOptions& options() const { return options_; }
@@ -272,10 +224,9 @@ class FleetQueryService {
   // epoch retirement sweeps exactly one stripe per key. Each stripe has its
   // own mutex and LRU; the configured capacity is split exactly across
   // stripes (global size never exceeds it). Stripe locks are leaves: they are
-  // taken one at a time, with or without |mu_|, which is what lets the
-  // fully-cached fast path in ExecuteConcurrently answer without ever
-  // touching the service-wide lock that concurrent HandleLine calls would
-  // otherwise contend on.
+  // taken one at a time, with or without |mu_|, which is what lets Admit's
+  // fully-cached fast path probe every verdict before it takes the
+  // service-wide lock, and then hold it only to commit its accounting.
   static constexpr size_t kCacheStripes = 16;
   struct CacheStripe {
     mutable std::mutex mu;
@@ -304,31 +255,27 @@ class FleetQueryService {
     bool failed = false;
   };
 
-  // Cross-round cursor for an oversized entry executed as budget slices.
-  // Owned via shared_ptr so the state stays pointer-stable while the entry
-  // sits (and moves) inside its tenant deque between rounds.
-  struct SplitProgress {
-    std::vector<Unit> units;          // Full materialized plan, in unit order.
-    std::vector<UnitOutcome> partial; // Accumulated verdicts, parallel units.
-    size_t next_unit = 0;             // First unit with unexecuted items.
-    size_t next_item = 0;             // First unexecuted item in that unit.
-    common::GpuMillis first_submit = 0.0;  // Submit instant of slice one.
-  };
-
-  // One queued admission entry: a single-camera request or a federated plan.
-  struct PendingEntry {
-    std::optional<FleetQueryRequest> request;
-    std::optional<core::FederatedPlan> federated;
-    // Non-null once the packer has started slicing this entry.
-    std::shared_ptr<SplitProgress> progress;
+  // What one admission produced: outcomes parallel to its units, and the
+  // cluster instant it was admitted at.
+  struct Admission {
+    std::vector<UnitOutcome> outcomes;
+    common::GpuMillis submit = 0.0;
   };
 
   static Unit UnitFromRequest(const FleetQueryRequest& request);
   static Unit UnitFromFederated(const core::FederatedCameraPlan& camera);
 
-  // The shared execution core. Requires lock held. Classifies every unit's
-  // plan through cache -> dedup -> model-grouped cost-ordered launches, at the
-  // cluster's current frontier. |submit| receives the admission instant.
+  // The one admission path. Probes the striped cache without |mu_|; if every
+  // work item hits (or duplicates an earlier item) and no unit carries an
+  // unseen epoch, the admission finishes at the cluster frontier with no
+  // launch, holding |mu_| only to commit stats and read the frontier.
+  // Otherwise it runs ExecuteUnitsLocked under |mu_|. |requests| is what the
+  // admission adds to stats().requests.
+  Admission Admit(const std::vector<Unit>& units, int64_t requests);
+  // The classifying core of a cache-missing admission. Requires |mu_| held.
+  // Classifies every unit's plan through cache -> dedup -> model-grouped
+  // cost-ordered launches, at the cluster's current frontier. |submit|
+  // receives the admission instant.
   std::vector<UnitOutcome> ExecuteUnitsLocked(const std::vector<Unit>& units,
                                               common::GpuMillis* submit);
   // Resolves one unit's outcome into the caller-facing execution.
@@ -344,9 +291,12 @@ class FleetQueryService {
   void RetireEpochs(const std::string& camera, uint64_t newest_epoch);
   size_t CacheSize() const;
 
-  // Queueing/drain internals (require |mu_|).
-  uint64_t EnqueueLocked(const std::string& tenant, PendingEntry entry);
-  void DrainRoundsLocked();
+  // Counts one request of |tenant| under fleet.tenant.<t>.requests. The first
+  // kMaxCountedTenants distinct names get a counter each; requests of any
+  // later name count under fleet.tenant_overflow.requests, so a stream of
+  // fresh tenant names cannot grow the metrics registry without bound.
+  static constexpr size_t kMaxCountedTenants = 64;
+  void CountTenantRequest(const std::string& tenant);
 
   QueryServiceOptions options_;
   MetricsRegistry* metrics_;
@@ -359,13 +309,8 @@ class FleetQueryService {
   size_t num_stripes_ = 1;
   std::unordered_map<std::string, uint64_t> newest_epoch_;
 
-  // Admission state (guarded by |mu_|). Completed-but-unclaimed executions
-  // from a drain triggered by another entry's ExecuteFederated.
-  std::map<std::string, double> tenant_weights_;
-  std::map<std::string, std::deque<std::pair<uint64_t, PendingEntry>>> queues_;
-  uint64_t next_ticket_ = 1;
-  std::vector<std::pair<uint64_t, QueryExecution>> completed_;
-  std::map<uint64_t, FederatedExecution> completed_federated_;
+  std::mutex tenants_mu_;  // Leaf lock; guards only |counted_tenants_|.
+  std::unordered_set<std::string> counted_tenants_;
 };
 
 }  // namespace focus::runtime

@@ -147,7 +147,8 @@ common::Result<std::string> SupervisedWorkerPool::Call(const std::string& reques
   if (attempt.ok()) {
     return attempt;
   }
-  if (!options_.retry_on_sibling || !common::IsRetryable(attempt.error().code)) {
+  // A retryable failure is re-dispatched once to a healthy sibling.
+  if (!common::IsRetryable(attempt.error().code)) {
     ++stats_.failed_calls;
     metrics_->IncrementCounter("proc.pool.failed_calls");
     return attempt;

@@ -68,8 +68,6 @@ struct SupervisedPoolOptions {
   // Virtual-time backoff accounted per respawn (max_attempts is ignored here;
   // the budget above bounds attempts).
   common::RetryPolicy restart_backoff;
-  // Re-dispatch a failed call once to a healthy sibling.
-  bool retry_on_sibling = true;
 };
 
 struct SupervisedPoolStats {

@@ -1,5 +1,8 @@
 #include "src/server/protocol.h"
 
+#include <algorithm>
+#include <cctype>
+#include <climits>
 #include <cstdlib>
 #include <sstream>
 
@@ -26,6 +29,31 @@ std::vector<std::string> SplitCameraList(const std::string& token) {
   }
 }
 
+// Parses |text| as a whole base-10 integer in [1, INT_MAX]. The value is
+// range-checked as a long long before it narrows (strtoll clamps anything past
+// its own range to LLONG_MIN/LLONG_MAX, which the check rejects too), so no
+// out-of-range number wraps into an accepted int.
+bool ParsePositiveInt(const std::string& text, int* value) {
+  char* end = nullptr;
+  const long long parsed = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || parsed <= 0 || parsed > INT_MAX) {
+    return false;
+  }
+  *value = static_cast<int>(parsed);
+  return true;
+}
+
+// A tenant name becomes part of a metric name (fleet.tenant.<t>.requests), so
+// it is a short identifier: 1 to kMaxTenantNameBytes of [A-Za-z0-9_-].
+constexpr size_t kMaxTenantNameBytes = 32;
+
+bool IsTenantName(const std::string& text) {
+  return !text.empty() && text.size() <= kMaxTenantNameBytes &&
+         std::all_of(text.begin(), text.end(), [](char c) {
+           return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-';
+         });
+}
+
 // Parses the optional [BEGIN s] [END s] [KX n] [TENANT t] tail of QUERY.
 common::Result<bool> ParseQueryOptions(const std::vector<std::string>& tokens, size_t from,
                                        Request* request) {
@@ -37,7 +65,18 @@ common::Result<bool> ParseQueryOptions(const std::vector<std::string>& tokens, s
     }
     const std::string& value = tokens[i + 1];
     if (key == "TENANT") {
+      if (!IsTenantName(value)) {
+        return BadRequest("TENANT must be 1-" + std::to_string(kMaxTenantNameBytes) +
+                          " characters of [A-Za-z0-9_-]");
+      }
       request->tenant = value;
+      i += 2;
+      continue;
+    }
+    if (key == "KX") {
+      if (!ParsePositiveInt(value, &request->kx)) {
+        return BadRequest("KX must be an integer in [1, " + std::to_string(INT_MAX) + "]");
+      }
       i += 2;
       continue;
     }
@@ -46,11 +85,6 @@ common::Result<bool> ParseQueryOptions(const std::vector<std::string>& tokens, s
       request->range.begin_sec = std::strtod(value.c_str(), &end);
     } else if (key == "END") {
       request->range.end_sec = std::strtod(value.c_str(), &end);
-    } else if (key == "KX") {
-      request->kx = static_cast<int>(std::strtol(value.c_str(), &end, 10));
-      if (request->kx <= 0) {
-        return BadRequest("KX must be positive");
-      }
     } else {
       return BadRequest("unknown option " + key);
     }
@@ -145,10 +179,9 @@ common::Result<Request> ParseRequest(const std::string& line) {
         if (tokens[3] != "WORKERS") {
           return BadRequest("unknown option " + tokens[3]);
         }
-        char* end = nullptr;
-        request.shm_workers = static_cast<int>(std::strtol(tokens[4].c_str(), &end, 10));
-        if (end == tokens[4].c_str() || *end != '\0' || request.shm_workers <= 0) {
-          return BadRequest("WORKERS must be a positive integer");
+        if (!ParsePositiveInt(tokens[4], &request.shm_workers)) {
+          return BadRequest("WORKERS must be an integer in [1, " + std::to_string(INT_MAX) +
+                            "]");
         }
       }
       return request;

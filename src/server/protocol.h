@@ -19,8 +19,14 @@
 // a REGION form fans out as one federated query (docs/fleet_serving.md) whose
 // response aggregates per-camera hits with provenance. STATS with a camera
 // reports that stream's ingest figures; bare STATS reports the process-wide
-// fleet query service (cache hit rate, dedup, launches, tenant queue depths).
-// TENANT tags the request for the service's per-tenant accounting.
+// fleet query service (requests, cache hit rate, dedup, launches). TENANT only
+// attributes the request (the service's fleet.tenant.<t>.requests counter);
+// it never changes how the request is scheduled. A tenant name is 1-32
+// characters of [A-Za-z0-9_-], since it becomes part of a metric name.
+//
+// Numeric options are range-checked, never narrowed: KX and WORKERS are ints
+// in [1, INT_MAX], and a value past int is an error, not a wrapped count. How
+// many workers a plane can seat is QueryServer's check, not the parser's.
 //
 // Responses are "OK <payload...>" on success, "ERR <code> <message>" on failure.
 // Parsing is strict: unknown verbs, missing arguments, or trailing junk are errors —
@@ -44,8 +50,8 @@ struct Request {
   Verb verb = Verb::kPing;
   // SHM fields: |shm_op| is "ATTACH", "STATUS", "SERVE", or "QUERY";
   // |shm_name| the segment name (required except for STATUS — empty lists
-  // every attach). SERVE may set |shm_workers| (0 = server default); QUERY
-  // reuses class_name/range/kx below.
+  // every attach). SERVE may set |shm_workers| (0 = server default);
+  // QUERY reuses class_name/range/kx below.
   std::string shm_op;
   std::string shm_name;
   int shm_workers = 0;
@@ -59,8 +65,8 @@ struct Request {
   std::string region;
   std::string class_name;
   common::TimeRange range{};
-  int kx = -1;
-  std::string tenant = "default";  // TENANT option.
+  int kx = -1;  // -1 = the indexed K; otherwise [1, INT_MAX].
+  std::string tenant = "default";  // TENANT option: 1-32 of [A-Za-z0-9_-].
   // CLASSES field.
   std::string class_filter;
 };

@@ -359,6 +359,20 @@ std::string QueryServer::HandleShm(const Request& request) {
 }
 
 std::string QueryServer::HandleShmServe(const Request& request, ShmPlane& plane) {
+  runtime::SupervisedPoolOptions options = shm_serve_options_;
+  if (request.shm_workers > 0) {
+    options.num_workers = request.shm_workers;
+  }
+  // Each worker attaches its own reader slot, and the server's own reader
+  // holds one more: a pool larger than the plane can seat is refused before
+  // anything forks or is torn down, whether the count came from WORKERS or
+  // from set_shm_serve_options.
+  constexpr int kMaxWorkers = shm::kShmMaxReaders - 1;
+  if (options.num_workers > kMaxWorkers) {
+    return ErrResponse(common::ErrorCode::kInvalidArgument,
+                       "WORKERS " + std::to_string(options.num_workers) + " exceeds the " +
+                           std::to_string(kMaxWorkers) + " reader slots a plane can seat");
+  }
   // A live pool is not silently replaced — but a pool whose every slot has
   // exhausted its restart budget is only good for routing around, so SERVE
   // over it is the operator's recovery verb: tear it down and start fresh.
@@ -369,10 +383,6 @@ std::string QueryServer::HandleShmServe(const Request& request, ShmPlane& plane)
     }
     plane.pool->Shutdown();
     plane.pool.reset();
-  }
-  runtime::SupervisedPoolOptions options = shm_serve_options_;
-  if (request.shm_workers > 0) {
-    options.num_workers = request.shm_workers;
   }
   auto pool = std::make_unique<runtime::SupervisedWorkerPool>(options, metrics_);
   // Each forked worker attaches its own reader slot and rebuilds its models
@@ -715,20 +725,14 @@ std::string QueryServer::HandleClasses(const std::string& filter) {
 
 std::string QueryServer::HandleStats(const std::string& camera) {
   if (camera.empty()) {
-    // Bare STATS: the shared fleet query service. One summary line, then one
-    // "TENANT <name> DEPTH <d>" line per tenant with queued work.
+    // Bare STATS: the shared fleet query service, one summary line.
     const runtime::FleetServiceStats stats = service_.stats();
-    const std::map<std::string, size_t> depths = service_.QueueDepths();
     std::ostringstream out;
     out << "SERVICE REQUESTS " << stats.requests << " CACHE_HITS " << stats.cache_hits
         << " CACHE_MISSES " << stats.cache_misses << " HIT_RATE " << stats.CacheHitRate()
         << " DEDUP " << stats.dedup_hits << " LAUNCHES " << stats.launches << " GPU_MS "
         << stats.gpu_millis << " CACHE_SIZE " << stats.cache_size << " EVICTED "
-        << stats.cache_evicted << " RETIRED " << stats.cache_retired << " QUEUED_TENANTS "
-        << depths.size();
-    for (const auto& [tenant, depth] : depths) {
-      out << "\nTENANT " << tenant << " DEPTH " << depth;
-    }
+        << stats.cache_evicted << " RETIRED " << stats.cache_retired;
     return OkResponse(out.str());
   }
   const core::FocusStream* stream = fleet_->Find(camera);

@@ -34,7 +34,9 @@
 // "STALE EPOCH <e> WATERMARK <w>" instead of "LIVE ..." so the client knows
 // the answer lags the recording. A Down stream with no published snapshot
 // errs Unavailable. The HEALTH verb reports per-stream supervision state;
-// bare STATS reports the shared service (hit rate, dedup, launches, queues).
+// bare STATS reports the shared service (requests, hit rate, dedup, launches).
+// A QUERY's TENANT only attributes it (fleet.tenant.<t>.requests); every
+// tenant's requests run on the one admission path.
 //
 // Supervised shm serving (docs/shm_serving.md): SHM SERVE starts a
 // runtime::SupervisedWorkerPool of crash-isolated worker processes over an
@@ -85,12 +87,14 @@ class QueryServer {
   // Structured entry point (for callers that already hold a Request).
   std::string Handle(const Request& request);
 
-  // The shared query service (e.g., to set tenant weights or read stats).
+  // The shared query service (e.g., to read its stats).
   runtime::FleetQueryService& service() { return service_; }
 
   // Supervision knobs for pools started by SHM SERVE (deadline, restart
-  // budget, sibling retry). Takes effect for pools started after the call;
-  // a SERVE's WORKERS argument overrides num_workers per pool.
+  // budget, restart backoff). Takes effect for pools started after the call;
+  // a SERVE's WORKERS argument overrides num_workers per pool, and SERVE
+  // refuses (InvalidArgument, nothing forked) a count above
+  // shm::kShmMaxReaders - 1, the slots left beside the server's own reader.
   void set_shm_serve_options(runtime::SupervisedPoolOptions options) {
     std::lock_guard<std::mutex> lock(shm_mu_);
     shm_serve_options_ = options;
@@ -117,7 +121,7 @@ class QueryServer {
   std::string HandleCameras();
   std::string HandleClasses(const std::string& filter);
   // STATS <camera>: the stream's ingest figures. Bare STATS: the shared
-  // service's cache/dedup/launch counters and per-tenant queue depths.
+  // service's request/cache/dedup/launch counters.
   std::string HandleStats(const std::string& camera);
   // HEALTH [camera]: supervision state of one stream, or of every stream that
   // has registered a failure or restart (clean streams read Healthy and are

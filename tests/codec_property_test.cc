@@ -1,7 +1,8 @@
 // Property tests for the storage formats, parameterized over seeds — the
 // seeded mutation harness (ctest label `fuzz`) for the index image decoder,
-// index::IndexView::Open, the index file around it, and the clustering
-// checkpoint meta (sharded.meta, section at the end of this file):
+// index::IndexView::Open, the index file around it, the clustering
+// checkpoint meta (sharded.meta, section near the end of this file) and the
+// server's protocol decoder (server::ParseRequest, last section):
 //   * random structured indexes round-trip bit-exactly through the image and
 //     the index file, and re-assemble to the same bytes;
 //   * random bit flips, truncations and garbage are always rejected;
@@ -13,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstddef>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <functional>
@@ -29,6 +32,7 @@
 #include "src/common/rng.h"
 #include "src/core/ingest_pipeline.h"
 #include "src/index/topk_index.h"
+#include "src/server/protocol.h"
 #include "src/storage/index_file.h"
 #include "src/storage/serializer.h"
 #include "src/storage/snapshot_store.h"
@@ -1188,3 +1192,186 @@ TEST_F(ShardedMetaGap, ReusedFeatureOfAnotherDimension) {
 
 }  // namespace
 }  // namespace focus::storage
+
+// --- Server protocol lines (server::ParseRequest) ---
+//
+// A request line is untrusted input from any client. The corpus holds one
+// valid line per verb and per option form; each seeded mutant stacks one to
+// three bit flips, truncations, token splices and token swaps. Whatever the
+// mutant, the decoder answers kInvalidArgument or a Request whose fields hold
+// what the line said: |kx| is -1 or the exact value of a KX token, and
+// |shm_workers| is 0 or the exact value of a WORKERS token (so nothing past
+// int wraps into range), and |tenant| is a short identifier.
+namespace focus::server {
+namespace {
+
+const char* const kProtocolCorpus[] = {
+    "PING",
+    "CAMERAS",
+    "CLASSES",
+    "CLASSES ped",
+    "STATS",
+    "STATS north",
+    "HEALTH",
+    "HEALTH north",
+    "SHM ATTACH /focus_plane",
+    "SHM STATUS",
+    "SHM STATUS /focus_plane",
+    "SHM SERVE /focus_plane",
+    "SHM SERVE /focus_plane WORKERS 4",
+    "SHM QUERY /focus_plane car",
+    "SHM QUERY /focus_plane car BEGIN 10 END 90.5 KX 3",
+    "QUERY north car",
+    "QUERY north car BEGIN 60",
+    "QUERY north car END 120.5",
+    "QUERY north car KX 2",
+    "QUERY north car TENANT analyst",
+    "QUERY north car BEGIN 60 END 120.5 KX 2 TENANT analyst",
+    "QUERY north,south car KX 2 TENANT analyst",
+    "QUERY REGION downtown truck BEGIN 10 END 240 KX 1",
+};
+
+// Tokens a splice draws from besides the corpus's own: option keys in the
+// wrong place, integers at and past the int edges, and tenant-shaped tokens
+// that are not identifiers.
+const char* const kSpliceTokens[] = {
+    "KX",          "WORKERS",     "TENANT",      "BEGIN",       "END",
+    "REGION",      "SHM",         "QUERY",       ",",           "a,,b",
+    "0",           "-1",          "1",           "63",          "64",
+    "65",          "1024",        "100000",      "2147483647",  "2147483648",
+    "-2147483648", "4294967297",  "-4294967295", "4294967298",  "-0",
+    "99999999999999999999",       "+7",          "0x10",        "1e3",
+    "nan",         "-inf",        "",            "a.b",         "x/y",
+    "tttttttttttttttttttttttttttttttt", "ttttttttttttttttttttttttttttttttt",
+};
+
+std::vector<std::string> SplitTokens(const std::string& line) {
+  std::vector<std::string> tokens;
+  size_t begin = 0;
+  while (begin <= line.size()) {
+    const size_t space = line.find(' ', begin);
+    const size_t end = space == std::string::npos ? line.size() : space;
+    tokens.push_back(line.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  return tokens;
+}
+
+std::string JoinTokens(const std::vector<std::string>& tokens) {
+  std::string line;
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    line += (i == 0 ? "" : " ") + tokens[i];
+  }
+  return line;
+}
+
+// One mutation of |line|: a bit flip, a truncation, a token splice (a token
+// replaced by, or a token inserted from, the splice pool or another corpus
+// line), or a swap of two tokens.
+std::string MutateLine(const std::string& line, common::Pcg32& rng) {
+  std::vector<std::string> tokens = SplitTokens(line);
+  auto splice_token = [&rng]() -> std::string {
+    if (rng.NextBool(0.5)) {
+      return kSpliceTokens[rng.NextBounded(std::size(kSpliceTokens))];
+    }
+    const std::vector<std::string> donor =
+        SplitTokens(kProtocolCorpus[rng.NextBounded(std::size(kProtocolCorpus))]);
+    return donor[rng.NextBounded(static_cast<uint32_t>(donor.size()))];
+  };
+  switch (rng.NextBounded(5)) {
+    case 0: {  // Bit flip.
+      if (line.empty()) {
+        return line;
+      }
+      std::string mutant = line;
+      mutant[rng.NextBounded(static_cast<uint32_t>(mutant.size()))] ^=
+          static_cast<char>(1u << rng.NextBounded(8));
+      return mutant;
+    }
+    case 1:  // Truncation.
+      return line.substr(0, rng.NextBounded(static_cast<uint32_t>(line.size()) + 1));
+    case 2:  // Splice over a token.
+      tokens[rng.NextBounded(static_cast<uint32_t>(tokens.size()))] = splice_token();
+      return JoinTokens(tokens);
+    case 3:  // Splice in a token.
+      tokens.insert(tokens.begin() + rng.NextBounded(static_cast<uint32_t>(tokens.size()) + 1),
+                    splice_token());
+      return JoinTokens(tokens);
+    default: {  // Swap two tokens.
+      const uint32_t n = static_cast<uint32_t>(tokens.size());
+      std::swap(tokens[rng.NextBounded(n)], tokens[rng.NextBounded(n)]);
+      return JoinTokens(tokens);
+    }
+  }
+}
+
+// Whether some token right after a |key| token reads, as a whole base-10
+// long long, exactly |value|: the oracle for "this option holds what the line
+// said", wide enough that a narrowed value never matches its token.
+bool SomeOptionValueIs(const std::vector<std::string>& tokens, const std::string& key,
+                       long long value) {
+  for (size_t i = 0; i + 1 < tokens.size(); ++i) {
+    char* end = nullptr;
+    const std::string& text = tokens[i + 1];
+    const long long parsed = std::strtoll(text.c_str(), &end, 10);
+    if (tokens[i] == key && end != text.c_str() && *end == '\0' && parsed == value) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// The decoder's contract on any line; returns whether the line parsed.
+bool ExpectTypedErrorOrFaithfulRequest(const std::string& line) {
+  SCOPED_TRACE("line: \"" + line + "\"");
+  const common::Result<Request> request = ParseRequest(line);
+  if (!request.ok()) {
+    EXPECT_EQ(request.error().code, common::ErrorCode::kInvalidArgument);
+    return false;
+  }
+  const std::vector<std::string> tokens = Tokenize(line);
+  EXPECT_TRUE(request->kx == -1 || (request->kx >= 1 && SomeOptionValueIs(tokens, "KX", request->kx)))
+      << "kx " << request->kx;
+  EXPECT_TRUE(request->shm_workers == 0 ||
+              (request->shm_workers >= 1 &&
+               SomeOptionValueIs(tokens, "WORKERS", request->shm_workers)))
+      << "shm_workers " << request->shm_workers;
+  EXPECT_TRUE(!request->tenant.empty() && request->tenant.size() <= 32 &&
+              std::all_of(request->tenant.begin(), request->tenant.end(),
+                          [](char c) {
+                            return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
+                                   c == '-';
+                          }))
+      << "tenant " << request->tenant;
+  return true;
+}
+
+TEST(ProtocolFuzz, CorpusLinesParse) {
+  for (const char* line : kProtocolCorpus) {
+    EXPECT_TRUE(ExpectTypedErrorOrFaithfulRequest(line)) << line;
+  }
+}
+
+TEST(ProtocolFuzz, MutatedLinesAreATypedErrorOrAFaithfulRequest) {
+  int parsed = 0;
+  int rejected = 0;
+  for (uint64_t seed : {1, 2, 3, 5, 8, 13, 21, 34, 55, 89}) {
+    common::Pcg32 rng(seed ^ 0x9A75);
+    for (const char* original : kProtocolCorpus) {
+      for (int trial = 0; trial < 256; ++trial) {
+        std::string mutant = original;
+        const uint32_t depth = 1 + rng.NextBounded(3);
+        for (uint32_t m = 0; m < depth; ++m) {
+          mutant = MutateLine(mutant, rng);
+        }
+        (ExpectTypedErrorOrFaithfulRequest(mutant) ? parsed : rejected) += 1;
+      }
+    }
+  }
+  // Both sides of the contract were exercised.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+}  // namespace
+}  // namespace focus::server

@@ -3,8 +3,7 @@
 //
 // The central contract: results are byte-identical to per-camera sequential
 // execution (core::FocusFleet::ExecuteFederatedSequential) no matter how work
-// was packed into launches, what the global verdict cache held, or in which
-// order tenants were admitted. The fixture builds a 32-camera fleet once
+// was packed into launches or what the global verdict cache held. The fixture builds a 32-camera fleet once
 // (cycling the 13 built-in stream profiles across two regions) and every case
 // checks an executor property against the sequential oracle. Under
 // ThreadSanitizer (tools/check_all.sh gate 3) the same cases run over an
@@ -254,51 +253,6 @@ TEST_F(FleetQueryServiceTest, RequestsMatchDirectStreamQuery) {
   }
 }
 
-// Weighted-fair admission: a deep backlog from one tenant drains in rounds
-// interleaved with another tenant's work (weight 2 admits two per round), and
-// the admission order never changes any result.
-TEST_F(FleetQueryServiceTest, WeightedFairDrainInterleavesTenants) {
-  FleetQueryService service;
-  service.SetTenantWeight("b", 2.0);
-
-  auto request_for = [&](int i, const std::string& tenant) {
-    FleetQueryRequest request;
-    request.camera = CameraName(i);
-    request.tenant = tenant;
-    request.query.stream = fleet_->Find(CameraName(i));
-    request.query.cls = dominant_class_;
-    return request;
-  };
-  std::vector<uint64_t> a_tickets, b_tickets;
-  for (int i = 0; i < 6; ++i) a_tickets.push_back(service.Enqueue(request_for(i, "a")));
-  for (int i = 6; i < 9; ++i) b_tickets.push_back(service.Enqueue(request_for(i, "b")));
-
-  const auto depths = service.QueueDepths();
-  ASSERT_EQ(depths.size(), 2u);
-  EXPECT_EQ(depths.at("a"), 6u);
-  EXPECT_EQ(depths.at("b"), 3u);
-
-  const auto drained = service.DrainAdmitted();
-  ASSERT_EQ(drained.size(), 9u);
-  // Rounds: {a1,b1,b2}, {a2,b3}, then a alone.
-  const std::vector<uint64_t> want_order = {
-      a_tickets[0], b_tickets[0], b_tickets[1], a_tickets[1], b_tickets[2],
-      a_tickets[2], a_tickets[3], a_tickets[4], a_tickets[5],
-  };
-  std::vector<uint64_t> got_order;
-  for (const auto& [ticket, exec] : drained) got_order.push_back(ticket);
-  EXPECT_EQ(got_order, want_order);
-  EXPECT_TRUE(service.QueueDepths().empty());
-
-  // Admission order shapes latency, never results: every drained execution
-  // matches the direct per-camera query.
-  for (const auto& [ticket, exec] : drained) {
-    ASSERT_FALSE(exec.error.has_value());
-    const int i = static_cast<int>(ticket - 1);  // Tickets issued in enqueue order.
-    ExpectSameQueryResult(exec.result, fleet_->Find(CameraName(i))->Query(dominant_class_));
-  }
-}
-
 // S2: concurrent QuerySessions routed through the shared service never re-pay
 // a centroid any of them already paid — total GT-CNN time equals the union of
 // unique centroids, while every session's own results and accounting stay
@@ -442,81 +396,6 @@ TEST_F(FleetQueryServiceTest, TinyCacheStaysBoundedAndCorrect) {
   EXPECT_GT(service.stats().cache_evicted, 0);
 }
 
-// Federated fan-outs route through the same tenant queues as single-camera
-// traffic: a two-fan-out burst from tenant a drains in rounds interleaved
-// with tenant b's singles (visible as shared per-round submit instants on a
-// one-GPU cluster), and every result — federated and single — stays
-// byte-identical to its oracle.
-TEST_F(FleetQueryServiceTest, FederatedDrainsThroughTenantQueuesFairly) {
-  core::FederatedSelector east;
-  east.region = "east";
-  core::FederatedSelector hub;
-  hub.tag = "hub";
-  auto plan_east = fleet_->PlanFederated(dominant_class_, east);
-  auto plan_hub = fleet_->PlanFederated(dominant_class_, hub);
-  ASSERT_TRUE(plan_east.ok());
-  ASSERT_TRUE(plan_hub.ok());
-  const core::FleetQueryResult seq_east = fleet_->ExecuteFederatedSequential(*plan_east);
-  const core::FleetQueryResult seq_hub = fleet_->ExecuteFederatedSequential(*plan_hub);
-
-  // One GPU: the virtual frontier advances with every round's fresh work, so
-  // admission rounds are visible as strictly increasing submit times.
-  QueryServiceOptions options;
-  options.num_gpus = 1;
-  FleetQueryService service(options);
-
-  const uint64_t fed_east = service.EnqueueFederated(*plan_east, "a");
-  const uint64_t fed_hub = service.EnqueueFederated(*plan_hub, "a");
-  std::vector<uint64_t> b_tickets;
-  for (int i = 20; i < 23; ++i) {
-    FleetQueryRequest request;
-    request.camera = CameraName(i);
-    request.tenant = "b";
-    request.query.stream = fleet_->Find(CameraName(i));
-    request.query.cls = dominant_class_;
-    b_tickets.push_back(service.Enqueue(request));
-  }
-  const auto depths = service.QueueDepths();
-  ASSERT_EQ(depths.size(), 2u);
-  EXPECT_EQ(depths.at("a"), 2u);  // A fan-out queues as ONE entry.
-  EXPECT_EQ(depths.at("b"), 3u);
-
-  // Rounds: {fed_east, b1}, {fed_hub, b2}, {b3}.
-  const auto drained = service.DrainAdmitted();
-  ASSERT_EQ(drained.size(), 3u);
-  EXPECT_EQ(drained[0].first, b_tickets[0]);
-  EXPECT_EQ(drained[1].first, b_tickets[1]);
-  EXPECT_EQ(drained[2].first, b_tickets[2]);
-  EXPECT_TRUE(service.QueueDepths().empty());
-
-  auto east_exec = service.TakeFederated(fed_east);
-  auto hub_exec = service.TakeFederated(fed_hub);
-  ASSERT_TRUE(east_exec.has_value());
-  ASSERT_TRUE(hub_exec.has_value());
-  ASSERT_FALSE(east_exec->error.has_value());
-  ASSERT_FALSE(hub_exec->error.has_value());
-  ExpectSameFleetResult(east_exec->result, seq_east);
-  ExpectSameFleetResult(hub_exec->result, seq_hub);
-  EXPECT_FALSE(service.TakeFederated(fed_east).has_value());  // Claimed once.
-  EXPECT_FALSE(service.TakeFederated(99999).has_value());
-
-  // Fairness in virtual time: round members share a submit instant, rounds
-  // submit strictly later than their predecessors — tenant a's burst never
-  // pushes tenant b's queue behind both fan-outs.
-  EXPECT_DOUBLE_EQ(east_exec->submit_millis, drained[0].second.submit_millis);
-  EXPECT_DOUBLE_EQ(hub_exec->submit_millis, drained[1].second.submit_millis);
-  EXPECT_LT(east_exec->submit_millis, hub_exec->submit_millis);
-  EXPECT_LT(drained[1].second.submit_millis, drained[2].second.submit_millis);
-
-  // Admission order never changes results.
-  for (size_t i = 0; i < drained.size(); ++i) {
-    ASSERT_FALSE(drained[i].second.error.has_value());
-    ExpectSameQueryResult(drained[i].second.result,
-                          fleet_->Find(CameraName(20 + static_cast<int>(i)))
-                              ->Query(dominant_class_));
-  }
-}
-
 // The striped verdict cache under concurrent warm traffic: once the fleet-wide
 // plan is cached, parallel single-camera requests answer entirely from their
 // stripes (zero launches, zero fresh GPU time) and stay byte-identical.
@@ -576,86 +455,9 @@ TEST_F(FleetQueryServiceTest, StripedCacheAnswersConcurrentWarmTrafficIdenticall
   EXPECT_LE(after.cache_size, service.options().verdict_cache_capacity);
 }
 
-// Regression: all-or-nothing admission starved oversized plans. The packer
-// splits an oversized plan into budget-sized slices
-// executed across consecutive rounds — the entry completes, other tenants
-// still interleave, and the merged result is byte-identical to the sequential
-// oracle (verdicts are pure per-centroid, so slicing cannot change them).
-TEST_F(FleetQueryServiceTest, OversizedPlanSplitsAcrossRoundsByteIdentically) {
-  auto plan = fleet_->PlanFederated(dominant_class_);
-  ASSERT_TRUE(plan.ok());
-  const core::FocusStream* small_stream = fleet_->Find(CameraName(5));
-  ASSERT_NE(small_stream, nullptr);
-  const size_t small_items = small_stream->Plan(dominant_class_).work.size();
-  ASSERT_GT(small_items, 0u);
-  ASSERT_GT(plan->TotalWorkItems(), static_cast<int64_t>(2 * small_items));
-  const double per_item = small_stream->gt_cnn().batch_cost_model().EstimateMillis(1);
-  const core::FleetQueryResult sequential = fleet_->ExecuteFederatedSequential(*plan);
-
-  QueryServiceOptions options;
-  options.round_cost_budget_millis = static_cast<double>(small_items) * per_item;
-  MetricsRegistry metrics;
-  FleetQueryService service(options, &metrics);
-
-  const uint64_t fed = service.EnqueueFederated(*plan, "a");
-  FleetQueryRequest small;
-  small.camera = CameraName(5);
-  small.tenant = "b";
-  small.query.stream = small_stream;
-  small.query.cls = dominant_class_;
-  const uint64_t small_ticket = service.Enqueue(small);
-
-  const auto drained = service.DrainAdmitted();
-  ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(drained[0].first, small_ticket);
-  ASSERT_FALSE(drained[0].second.error.has_value());
-  ExpectSameQueryResult(drained[0].second.result, small_stream->Query(dominant_class_));
-
-  auto fed_exec = service.TakeFederated(fed);
-  ASSERT_TRUE(fed_exec.has_value());
-  ASSERT_FALSE(fed_exec->error.has_value());
-  ExpectSameFleetResult(fed_exec->result, sequential);
-  EXPECT_TRUE(service.QueueDepths().empty());
-  EXPECT_EQ(service.stats().plans_split, 1);
-  EXPECT_EQ(metrics.counter("fleet.plans_split"), 1);
-  EXPECT_GT(metrics.counter("fleet.plan_slices"), 1);
-
-  // Direct execution splits too, and a warm repeat stays byte-identical.
-  FleetQueryService direct(options);
-  const FederatedExecution cold = direct.ExecuteFederated(*plan);
-  ASSERT_FALSE(cold.error.has_value());
-  ExpectSameFleetResult(cold.result, sequential);
-  const FederatedExecution warm = direct.ExecuteFederated(*plan);
-  ASSERT_FALSE(warm.error.has_value());
-  ExpectSameFleetResult(warm.result, sequential);
-  EXPECT_GE(direct.stats().plans_split, 1);
-
-  // An oversized single-camera request splits through the same path.
-  const core::FocusStream* wide_stream = fleet_->Find(CameraName(1));
-  ASSERT_NE(wide_stream, nullptr);
-  const size_t wide_items = wide_stream->Plan(dominant_class_).work.size();
-  if (wide_items > 1) {
-    QueryServiceOptions tight = options;
-    tight.round_cost_budget_millis =
-        wide_stream->gt_cnn().batch_cost_model().EstimateMillis(1) * 1.5;
-    FleetQueryService single(tight);
-    FleetQueryRequest wide;
-    wide.camera = CameraName(1);
-    wide.query.stream = wide_stream;
-    wide.query.cls = dominant_class_;
-    const uint64_t ticket = single.Enqueue(wide);
-    const auto singles = single.DrainAdmitted();
-    ASSERT_EQ(singles.size(), 1u);
-    EXPECT_EQ(singles[0].first, ticket);
-    ASSERT_FALSE(singles[0].second.error.has_value());
-    ExpectSameQueryResult(singles[0].second.result, wide_stream->Query(dominant_class_));
-    EXPECT_EQ(single.stats().plans_split, 1);
-  }
-}
-
-// Per-tenant admission accounting reaches the metrics registry: enqueue and
-// admit counters per tenant, live queue-depth gauges, and the fleet-wide
-// request/federated counters.
+// Tenants only attribute traffic: every Execute and ExecuteFederated call
+// counts once under its tenant, beside the fleet-wide request, federated and
+// admission counters.
 TEST_F(FleetQueryServiceTest, PerTenantAdmissionMetricsSurface) {
   MetricsRegistry metrics;
   FleetQueryService service({}, &metrics);
@@ -666,33 +468,44 @@ TEST_F(FleetQueryServiceTest, PerTenantAdmissionMetricsSurface) {
     request.tenant = "ops";
     request.query.stream = fleet_->Find(CameraName(i));
     request.query.cls = dominant_class_;
-    service.Enqueue(request);
+    ASSERT_FALSE(service.Execute(request).error.has_value());
   }
   core::FederatedSelector east;
   east.region = "east";
   auto plan = fleet_->PlanFederated(dominant_class_, east);
   ASSERT_TRUE(plan.ok());
-  const uint64_t fed = service.EnqueueFederated(*plan, "analysts");
+  ASSERT_FALSE(service.ExecuteFederated(*plan, "analysts").error.has_value());
 
-  EXPECT_EQ(metrics.counter("fleet.enqueued"), 3);
-  EXPECT_EQ(metrics.counter("fleet.tenant.ops.enqueued"), 2);
-  EXPECT_EQ(metrics.counter("fleet.tenant.analysts.enqueued"), 1);
-  EXPECT_DOUBLE_EQ(metrics.gauge("fleet.tenant.ops.queue_depth"), 2.0);
-  EXPECT_DOUBLE_EQ(metrics.gauge("fleet.tenant.analysts.queue_depth"), 1.0);
-
-  const auto drained = service.DrainAdmitted();
-  EXPECT_EQ(drained.size(), 2u);
-  ASSERT_TRUE(service.TakeFederated(fed).has_value());
-
-  EXPECT_EQ(metrics.counter("fleet.tenant.ops.admitted"), 2);
-  EXPECT_EQ(metrics.counter("fleet.tenant.analysts.admitted"), 1);
-  EXPECT_DOUBLE_EQ(metrics.gauge("fleet.tenant.ops.queue_depth"), 0.0);
-  EXPECT_DOUBLE_EQ(metrics.gauge("fleet.tenant.analysts.queue_depth"), 0.0);
+  EXPECT_EQ(metrics.counter("fleet.tenant.ops.requests"), 2);
+  EXPECT_EQ(metrics.counter("fleet.tenant.analysts.requests"), 1);
   EXPECT_EQ(metrics.counter("fleet.requests"), 2);
   EXPECT_EQ(metrics.counter("fleet.federated_queries"), 1);
   EXPECT_EQ(metrics.counter("fleet.federated_cameras"),
             static_cast<int64_t>(plan->cameras.size()));
-  EXPECT_GT(metrics.counter("fleet.admissions"), 0);
+  EXPECT_EQ(metrics.counter("fleet.admissions"), 3);  // One per call.
+  EXPECT_EQ(service.stats().requests, 3);
+}
+
+// Tenant names are caller input, so their counters are bounded: the first 64
+// distinct names get one each, every later name shares the overflow counter.
+TEST_F(FleetQueryServiceTest, TenantCountersAreBounded) {
+  MetricsRegistry metrics;
+  FleetQueryService service({}, &metrics);
+  FleetQueryRequest request;
+  request.camera = CameraName(0);
+  request.query.stream = fleet_->Find(CameraName(0));
+  request.query.cls = dominant_class_;
+  for (int t = 0; t < 70; ++t) {
+    request.tenant = "t" + std::to_string(t);
+    ASSERT_FALSE(service.Execute(request).error.has_value());
+  }
+  request.tenant = "t0";  // A counted name stays counted.
+  ASSERT_FALSE(service.Execute(request).error.has_value());
+  EXPECT_EQ(metrics.counter("fleet.tenant.t0.requests"), 2);
+  EXPECT_EQ(metrics.counter("fleet.tenant.t63.requests"), 1);
+  EXPECT_EQ(metrics.counter("fleet.tenant.t64.requests"), 0);
+  EXPECT_EQ(metrics.counter("fleet.tenant_overflow.requests"), 6);
+  EXPECT_EQ(metrics.counter("fleet.requests"), 71);
 }
 
 }  // namespace

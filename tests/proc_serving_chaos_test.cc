@@ -489,6 +489,19 @@ TEST(ProcServingServerTest, ServeQueryDegradeAndReServeLifecycle) {
   ASSERT_EQ(inproc.substr(0, inproc_head.size()), inproc_head) << inproc;
   const std::string body = inproc.substr(inproc_head.size());  // "EPOCH ...\nRUN ..."
 
+  // The plane seats kShmMaxReaders - 1 workers beside the server's own
+  // reader. A larger pool is refused before anything forks, whether the count
+  // came from the line or from the serve options, and the plane stays unserved.
+  EXPECT_EQ(server.HandleLine("SHM SERVE " + name + " WORKERS 64").rfind("ERR InvalidArgument", 0),
+            0u);
+  runtime::SupervisedPoolOptions oversized = serve_options;
+  oversized.num_workers = 100000;
+  server.set_shm_serve_options(oversized);
+  EXPECT_EQ(server.HandleLine("SHM SERVE " + name).rfind("ERR InvalidArgument", 0), 0u);
+  server.set_shm_serve_options(serve_options);
+  EXPECT_EQ(server.HandleLine("SHM STATUS " + name).find(" WORKERS "), std::string::npos);
+  EXPECT_EQ(metrics.counter("server.shm_serves"), 0);
+
   // Served: a worker process answers — byte-identical from EPOCH on.
   const std::string serving = server.HandleLine("SHM SERVE " + name + " WORKERS 2");
   EXPECT_EQ(serving, "OK SERVING " + name + " WORKERS 2 DEADLINE_MS 10000");

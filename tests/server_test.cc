@@ -147,6 +147,54 @@ TEST(ProtocolTest, ParsesShmServeAndQueryForms) {
   EXPECT_FALSE(ParseRequest("SHM QUERY /a car BEGIN 90 END 10").ok());  // Inverted range.
 }
 
+// Numeric options are range-checked before narrowing: a value past int must
+// not wrap into an accepted one. Parse level only: no test here starts a
+// worker (the reader-slot cap on WORKERS is QueryServer's, checked in
+// proc_serving_chaos_test on an attached plane).
+TEST(ProtocolTest, RejectsOutOfRangeNumericOptions) {
+  for (const std::string kx : {"4294967297", "-4294967295", "2147483648", "99999999999999999999",
+                               "-99999999999999999999"}) {
+    SCOPED_TRACE("KX " + kx);
+    const auto request = ParseRequest("QUERY north car KX " + kx);
+    ASSERT_FALSE(request.ok());
+    EXPECT_EQ(request.error().code, common::ErrorCode::kInvalidArgument);
+    EXPECT_FALSE(ParseRequest("SHM QUERY /seg car KX " + kx).ok());
+  }
+  const auto widest = ParseRequest("QUERY north car KX 2147483647");
+  ASSERT_TRUE(widest.ok());
+  EXPECT_EQ(widest->kx, 2147483647);
+
+  for (const std::string workers : {"4294967298", "2147483648", "-4294967295",
+                                    "99999999999999999999"}) {
+    SCOPED_TRACE("WORKERS " + workers);
+    const auto request = ParseRequest("SHM SERVE /seg WORKERS " + workers);
+    ASSERT_FALSE(request.ok());
+    EXPECT_EQ(request.error().code, common::ErrorCode::kInvalidArgument);
+  }
+  // In int range the count parses as itself; the server decides what it seats.
+  const auto many = ParseRequest("SHM SERVE /seg WORKERS 100000");
+  ASSERT_TRUE(many.ok());
+  EXPECT_EQ(many->shm_workers, 100000);
+}
+
+// A tenant name becomes part of a metric name, so only a short identifier is
+// accepted: a client cannot grow the metrics registry by a line's length.
+TEST(ProtocolTest, TenantNamesAreShortIdentifiers) {
+  for (const std::string& tenant :
+       std::vector<std::string>{"analyst", "ops-2", "night_shift", std::string(32, 't')}) {
+    const auto request = ParseRequest("QUERY north car TENANT " + tenant);
+    ASSERT_TRUE(request.ok()) << tenant;
+    EXPECT_EQ(request->tenant, tenant);
+  }
+  for (const std::string& tenant :
+       std::vector<std::string>{std::string(33, 't'), "a.b", "x/y", "caf\xc3\xa9"}) {
+    SCOPED_TRACE("TENANT " + tenant);
+    const auto request = ParseRequest("QUERY north,south car TENANT " + tenant);
+    ASSERT_FALSE(request.ok());
+    EXPECT_EQ(request.error().code, common::ErrorCode::kInvalidArgument);
+  }
+}
+
 TEST(ProtocolTest, ParsesFederatedForms) {
   auto list = ParseRequest("QUERY north,south car KX 2 TENANT analyst");
   ASSERT_TRUE(list.ok());
@@ -328,7 +376,30 @@ TEST_F(QueryServerTest, BareStatsReportsTheSharedService) {
   std::string warm = server.HandleLine("STATS");
   EXPECT_EQ(warm.rfind("OK SERVICE REQUESTS 2 ", 0), 0u) << warm;
   EXPECT_NE(warm.find(" HIT_RATE 0.5"), std::string::npos) << warm;
-  EXPECT_NE(warm.find(" QUEUED_TENANTS 0"), std::string::npos) << warm;
+  // One summary line: tenants only attribute traffic, nothing is queued.
+  EXPECT_EQ(warm.find('\n'), std::string::npos) << warm;
+  EXPECT_NE(warm.find(" RETIRED 0"), std::string::npos) << warm;
+}
+
+// TENANT attributes a request and changes nothing else: the tagged answer is
+// the untagged one, and each tenant's requests count under its name.
+TEST_F(QueryServerTest, TenantOnlyAttributesTraffic) {
+  runtime::MetricsRegistry metrics;
+  QueryServer server(fleet_, catalog_, &metrics);
+  const std::string untagged = server.HandleLine("QUERY north " + *dominant_name_);
+  ASSERT_EQ(untagged.rfind("OK ", 0), 0u) << untagged;
+  EXPECT_EQ(server.HandleLine("QUERY north " + *dominant_name_ + " TENANT analyst"),
+            server.HandleLine("QUERY north " + *dominant_name_));
+  const std::string federated =
+      server.HandleLine("QUERY REGION downtown " + *dominant_name_ + " TENANT analyst");
+  ASSERT_EQ(federated.rfind("OK FEDERATED ", 0), 0u) << federated;
+  EXPECT_EQ(metrics.counter("fleet.tenant.analyst.requests"), 2);
+  EXPECT_EQ(metrics.counter("fleet.tenant.default.requests"), 2);
+  // A malformed tenant is refused before it reaches the service.
+  const std::string refused =
+      server.HandleLine("QUERY north " + *dominant_name_ + " TENANT " + std::string(64, 'x'));
+  EXPECT_EQ(refused.rfind("ERR InvalidArgument", 0), 0u) << refused;
+  EXPECT_EQ(metrics.Render().find(std::string(64, 'x')), std::string::npos);
 }
 
 TEST_F(QueryServerTest, ConcurrentQueriesAreConsistent) {

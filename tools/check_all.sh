@@ -4,7 +4,7 @@
 #   1. unit gate     - full `ctest -L unit` in the plain Release build,
 #                      then the fleet serving suite by its own label
 #                      (`ctest -L fleet`: federated identity vs the sequential
-#                      oracle, verdict cache, weighted-fair admission) so the
+#                      oracle, verdict cache, the one admission path) so the
 #                      serving-runtime gate is named even if labels reshuffle.
 #   2. chaos gate    - `ctest -L fault` (deterministic fault-injection sweeps,
 #                      the two-stage ingest stop paths of ingest_pipeline_test
@@ -12,16 +12,19 @@
 #                      crash at every frame, torn undo tail at every byte,
 #                      all on the sharded.meta checkpoint protocol),
 #                      `ctest -L fuzz` (the seeded mutation harness over the
-#                      index image decoder, the index file and sharded.meta),
+#                      index image decoder, the index file, sharded.meta and
+#                      server protocol lines),
 #                      `ctest -L shm` (the shared-memory serving plane:
 #                      cross-process byte-identity, pin protocol, reader-crash
 #                      isolation — docs/shm_serving.md), and `ctest -L proc`
 #                      (supervised multi-process serving: worker RPC framing,
 #                      restart budgets, sibling-retry identity, seeded
-#                      kill/hang/torn-frame storms) in a FOCUS_SANITIZE=address
-#                      build, so every injected failure path, every decoder
-#                      of untrusted bytes and every mapped-memory path also
-#                      runs leak- and overflow-checked.
+#                      kill/hang/torn-frame storms) in a
+#                      FOCUS_SANITIZE=address build (ASan plus
+#                      non-recovering UBSan), so every injected failure path,
+#                      every decoder of untrusted bytes and every
+#                      mapped-memory path also runs leak-, overflow- and
+#                      undefined-behavior-checked.
 #   3. tsan gate     - `ctest -L stress` (worker pool, live query over
 #                      advancing ingest, background publication: readers on
 #                      SnapshotSlot::Latest() sharing one query service while
@@ -73,7 +76,7 @@ ctest --test-dir "$BUILD_DIR" -L fleet --output-on-failure
 if [ "${FOCUS_SKIP_ASAN:-0}" = "1" ]; then
   echo "== gate 2/4: SKIPPED (FOCUS_SKIP_ASAN=1) =="
 else
-  echo "== gate 2/4: chaos + fuzz + shm + proc suites under AddressSanitizer =="
+  echo "== gate 2/4: chaos + fuzz + shm + proc suites under ASan + UBSan =="
   cmake -S "$REPO_DIR" -B "$ASAN_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DFOCUS_SANITIZE=address
   # Only the fault-, fuzz-, shm-, and proc-labeled suites are needed; build
