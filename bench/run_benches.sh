@@ -14,11 +14,17 @@
 # shm_serving `shm_over_inproc`, proc_serving `supervised_over_direct`) or on
 # any bench whose
 # `identical` flag went false — the perf trajectory is enforceable, not just
-# recorded (see bench/check_bench_regression.py). A failed check re-runs the
-# benches once and only fails if the regression reproduces: wall-clock ratios
-# on shared/virtualized hosts flake past 15% on single runs, and a transient
-# spike does not hit the same config twice. Correctness (`identical: false`)
-# and genuine regressions fail both passes.
+# recorded (see bench/check_bench_regression.py). Every bench runs even when
+# an earlier one exits non-zero (a bench's own ceiling or identity check), so
+# one red row cannot hide the others; the script then runs the check and exits
+# non-zero if any bench or the check failed, naming every bench that failed on
+# any pass. A bench that exits non-zero is never retried. A failed check alone
+# re-runs the benches once and only fails if the regression reproduces:
+# wall-clock ratios on shared/virtualized hosts flake past 15% on single runs,
+# and a transient spike does not hit the same config twice. Correctness
+# (`identical: false`) and genuine regressions fail both passes.
+# Without --check, the tracked copies are refreshed only when every bench
+# passed.
 #
 # FOCUS_BENCH_FULL=1 additionally runs the google-benchmark micro suites
 # (slower; per-operation costs rather than the tracked hot-path comparisons).
@@ -33,17 +39,20 @@ fi
 BUILD_DIR="${1:-build}"
 cd "$BUILD_DIR"
 
+# Runs every bench; appends the names of those that exit non-zero to FAILED,
+# which accumulates across passes.
+FAILED=""
 run_benches() {
-  ./bench_cluster_assign
-  ./bench_sharded_ingest
-  ./bench_query_batch
-  ./bench_arena_resume
-  ./bench_live_query
-  ./bench_chaos
-  ./bench_fleet_serving
-  ./bench_shm_serving
-  ./bench_proc_serving
+  for bench in bench_cluster_assign bench_sharded_ingest bench_query_batch \
+      bench_arena_resume bench_live_query bench_chaos bench_fleet_serving \
+      bench_shm_serving bench_proc_serving; do
+    if ! "./$bench"; then
+      echo "$bench exited non-zero" >&2
+      FAILED="$FAILED $bench"
+    fi
+  done
 }
+
 run_benches
 
 if [ "${FOCUS_BENCH_FULL:-0}" = "1" ]; then
@@ -57,13 +66,23 @@ if [ "${FOCUS_BENCH_FULL:-0}" = "1" ]; then
   fi
 fi
 
-if [ "$CHECK" = "1" ]; then
-  if ! python3 "$SCRIPT_DIR/check_bench_regression.py" "$PWD" "$SCRIPT_DIR/results"; then
+check_regression() {
+  python3 "$SCRIPT_DIR/check_bench_regression.py" "$PWD" "$SCRIPT_DIR/results"
+}
+if [ "$CHECK" = "1" ] && ! check_regression; then
+  if [ -z "$FAILED" ]; then
     echo "guardrail check failed; re-running benches once to rule out a transient spike"
     run_benches
-    python3 "$SCRIPT_DIR/check_bench_regression.py" "$PWD" "$SCRIPT_DIR/results"
+    check_regression || FAILED="$FAILED guardrail-check"
+  else
+    FAILED="$FAILED guardrail-check"
   fi
-else
+fi
+if [ -n "$FAILED" ]; then
+  echo "failed:$FAILED" >&2
+  exit 1
+fi
+if [ "$CHECK" != "1" ]; then
   mkdir -p "$SCRIPT_DIR/results"
   cp BENCH_*.json "$SCRIPT_DIR/results/"
   echo "copied BENCH_*.json to $SCRIPT_DIR/results/"

@@ -84,8 +84,8 @@ QueryEngine::QueryEngine(const LiveSnapshot* snapshot, const cnn::Cnn* ingest_cn
                          const cnn::Cnn* gt_cnn)
     : QueryEngine(&snapshot->index, ingest_cnn, gt_cnn) {}
 
-QueryPlan QueryEngine::Plan(common::ClassId cls, int kx, common::TimeRange range, double fps,
-                            int min_kx) const {
+QueryPlan QueryEngine::Plan(common::ClassId cls, int kx, common::TimeRange range,
+                            double fps) const {
   QueryPlan plan;
   plan.queried = cls;
   plan.kx = kx;
@@ -106,9 +106,6 @@ QueryPlan QueryEngine::Plan(common::ClassId cls, int kx, common::TimeRange range
   for (const index::Posting& posting : index_.postings(plan.lookup)) {
     if (kx > 0 && posting.rank > kx) {
       continue;
-    }
-    if (min_kx > 0 && posting.rank <= min_kx) {
-      continue;  // Already admitted (and classified) by an earlier expansion.
     }
     plan.work.push_back(CentroidWorkItem{posting.cluster, index_.centroid(posting.cluster)});
   }

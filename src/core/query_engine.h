@@ -14,9 +14,8 @@
 //                           emits one CentroidWorkItem per candidate cluster.
 //   <classification>        QT3: any execution strategy that produces a GT-CNN
 //                           top-1 verdict per work item — cnn::Cnn::ClassifyBatch
-//                           over any batching, a shared cross-query verdict cache
-//                           (runtime::FleetQueryService), or a cached verdict
-//                           (QuerySession).
+//                           over any batching, or the shared cross-query verdict
+//                           cache of runtime::FleetQueryService.
 //   Resolve(plan, verdicts) QT4: folds the verdicts into the final QueryResult.
 //
 // Query() is the one-call form: Plan, classify the whole plan as one batch,
@@ -27,7 +26,11 @@
 // cnn::Cnn::BatchCostMillis).
 //
 // Supports the §5 enhancement of a dynamic Kx <= K: filtering with a smaller Kx
-// shrinks the candidate set (lower latency) at some recall cost.
+// shrinks the candidate set (lower latency) at some recall cost. The plan at a
+// smaller Kx is a subset of the plan at a larger one, so "increase Kx to
+// extract a new batch of results" is a repeat of the query at the larger Kx:
+// through FleetQueryService's verdict cache it pays only for the centroids the
+// larger Kx newly admits.
 #ifndef FOCUS_SRC_CORE_QUERY_ENGINE_H_
 #define FOCUS_SRC_CORE_QUERY_ENGINE_H_
 
@@ -102,11 +105,9 @@ class QueryEngine {
                     double fps = 30.0) const;
 
   // QT1/QT2 only: index lookup, Kx filter, range-to-frame-bounds mapping. No GPU
-  // work. |min_kx| > 0 omits clusters already matching within min_kx — the
-  // incremental form QuerySession::ExpandTo uses to plan only the candidates a Kx
-  // expansion newly admits.
+  // work.
   QueryPlan Plan(common::ClassId cls, int kx = -1, common::TimeRange range = {},
-                 double fps = 30.0, int min_kx = 0) const;
+                 double fps = 30.0) const;
 
   // QT3 as one GT-CNN batch: top-1 verdicts for every work item of |plan|, in plan
   // order. Callers with their own execution strategy (cross-query batching, cached

@@ -12,7 +12,7 @@ namespace focus::runtime {
 
 namespace {
 
-// Splitmix-style combine; the camera string dominates, epoch/cluster spread it.
+// Boost-style combine of the key's three integers.
 size_t MixHash(size_t seed, size_t value) {
   return seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
@@ -34,10 +34,21 @@ common::Error LaunchFailed() {
 }  // namespace
 
 size_t FleetQueryService::CacheKeyHash::operator()(const CacheKey& key) const {
-  size_t h = std::hash<std::string>{}(key.camera);
-  h = MixHash(h, std::hash<uint64_t>{}(key.epoch));
-  h = MixHash(h, std::hash<int64_t>{}(static_cast<int64_t>(key.cluster_id)));
+  size_t h = std::hash<uint32_t>{}(key.camera);
+  h = MixHash(h, std::hash<int64_t>{}(key.frame));
+  h = MixHash(h, std::hash<int64_t>{}(key.object_id));
   return h;
+}
+
+FleetQueryService::CacheKey FleetQueryService::KeyOf(uint32_t camera,
+                                                     const video::Detection& centroid) {
+  return CacheKey{camera, centroid.frame, centroid.object_id};
+}
+
+uint32_t FleetQueryService::CameraIdOf(const std::string& camera) {
+  std::lock_guard<std::mutex> lock(cameras_mu_);
+  return camera_ids_.try_emplace(camera, static_cast<uint32_t>(camera_ids_.size()))
+      .first->second;
 }
 
 FleetQueryService::FleetQueryService(QueryServiceOptions options, MetricsRegistry* metrics)
@@ -60,14 +71,13 @@ FleetQueryService::Unit FleetQueryService::UnitFromRequest(const FleetQueryReque
   const QueryRequest& query = request.query;
   FOCUS_CHECK((query.stream != nullptr) != (query.snapshot != nullptr));
   Unit unit;
-  unit.camera = request.camera;
+  unit.camera = CameraIdOf(request.camera);
   if (query.stream != nullptr) {
     unit.plan = query.stream->Plan(query.cls, query.kx, query.range);
     unit.gt = &query.stream->gt_cnn();
     unit.stream = query.stream;
   } else {
     FOCUS_CHECK(query.ingest_cnn != nullptr && query.gt_cnn != nullptr);
-    unit.epoch = query.snapshot->epoch;
     unit.plan = core::QueryEngine(query.snapshot.get(), query.ingest_cnn, query.gt_cnn)
                     .Plan(query.cls, query.kx, query.range, query.fps);
     unit.gt = query.gt_cnn;
@@ -80,8 +90,7 @@ FleetQueryService::Unit FleetQueryService::UnitFromRequest(const FleetQueryReque
 FleetQueryService::Unit FleetQueryService::UnitFromFederated(
     const core::FederatedCameraPlan& camera) {
   Unit unit;
-  unit.camera = camera.camera;
-  unit.epoch = camera.epoch;
+  unit.camera = CameraIdOf(camera.camera);
   unit.plan = camera.plan;
   if (camera.stream != nullptr) {
     unit.gt = &camera.stream->gt_cnn();
@@ -95,16 +104,12 @@ FleetQueryService::Unit FleetQueryService::UnitFromFederated(
   return unit;
 }
 
-size_t FleetQueryService::StripeIndexOf(const CacheKey& key) const {
-  // hash(camera, centroid): epoch deliberately excluded, so every epoch of a
-  // centroid shares a stripe and retirement stays a single-stripe sweep.
-  size_t h = std::hash<std::string>{}(key.camera);
-  h = MixHash(h, std::hash<int64_t>{}(key.cluster_id));
-  return h % num_stripes_;
+FleetQueryService::CacheStripe& FleetQueryService::StripeOf(const CacheKey& key) {
+  return stripes_[CacheKeyHash{}(key) % num_stripes_];
 }
 
 std::optional<common::ClassId> FleetQueryService::CacheLookup(const CacheKey& key) {
-  CacheStripe& stripe = stripes_[StripeIndexOf(key)];
+  CacheStripe& stripe = StripeOf(key);
   std::lock_guard<std::mutex> lock(stripe.mu);
   auto it = stripe.map.find(key);
   if (it == stripe.map.end()) {
@@ -118,7 +123,7 @@ void FleetQueryService::CacheInsert(CacheKey key, common::ClassId top1) {
   if (options_.verdict_cache_capacity == 0) {
     return;
   }
-  CacheStripe& stripe = stripes_[StripeIndexOf(key)];
+  CacheStripe& stripe = StripeOf(key);
   std::lock_guard<std::mutex> lock(stripe.mu);
   FOCUS_CHECK(!stripe.map.contains(key));  // Only misses are inserted.
   stripe.lru.emplace_front(std::move(key), top1);
@@ -127,22 +132,6 @@ void FleetQueryService::CacheInsert(CacheKey key, common::ClassId top1) {
     stripe.map.erase(stripe.lru.back().first);
     stripe.lru.pop_back();
     ++stats_.cache_evicted;
-  }
-}
-
-void FleetQueryService::RetireEpochs(const std::string& camera, uint64_t newest_epoch) {
-  for (size_t s = 0; s < num_stripes_; ++s) {
-    CacheStripe& stripe = stripes_[s];
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    for (auto it = stripe.lru.begin(); it != stripe.lru.end();) {
-      if (it->first.camera == camera && it->first.epoch < newest_epoch) {
-        stripe.map.erase(it->first);
-        it = stripe.lru.erase(it);
-        ++stats_.cache_retired;
-      } else {
-        ++it;
-      }
-    }
   }
 }
 
@@ -162,19 +151,6 @@ std::vector<FleetQueryService::UnitOutcome> FleetQueryService::ExecuteUnitsLocke
   const int64_t cache_hits_before = stats_.cache_hits;
   const int64_t cache_misses_before = stats_.cache_misses;
 
-  // Epoch advance first, across the whole admission: the first sighting of a
-  // newer epoch of a camera retires every cached verdict of its older epochs
-  // (a unit still pinning a stale snapshot in this same admission simply
-  // re-pays — its entries re-enter the cache under the old epoch and age out
-  // by LRU).
-  for (const Unit& unit : units) {
-    uint64_t& newest = newest_epoch_[unit.camera];
-    if (unit.epoch > newest) {
-      RetireEpochs(unit.camera, unit.epoch);
-      newest = unit.epoch;
-    }
-  }
-
   // Phase 1 — resolve every work item against the global cache and deduplicate
   // within the admission. |local| pins this admission's verdict per key so that
   // concurrent duplicates are counted (and paid) once; fresh keys are marked
@@ -187,7 +163,6 @@ std::vector<FleetQueryService::UnitOutcome> FleetQueryService::ExecuteUnitsLocke
   };
   struct FreshItem {
     size_t unit = 0;
-    int64_t cluster_id = -1;
     const video::Detection* centroid = nullptr;
   };
   std::unordered_map<CacheKey, LocalVerdict, CacheKeyHash> local;
@@ -195,7 +170,7 @@ std::vector<FleetQueryService::UnitOutcome> FleetQueryService::ExecuteUnitsLocke
   for (size_t u = 0; u < units.size(); ++u) {
     for (const core::CentroidWorkItem& item : units[u].plan.work) {
       ++stats_.work_items;
-      CacheKey key{units[u].camera, units[u].epoch, item.cluster_id};
+      CacheKey key = KeyOf(units[u].camera, item.centroid);
       if (local.contains(key)) {
         ++stats_.dedup_hits;
         continue;
@@ -208,7 +183,7 @@ std::vector<FleetQueryService::UnitOutcome> FleetQueryService::ExecuteUnitsLocke
         continue;
       }
       ++stats_.cache_misses;
-      fresh.push_back(FreshItem{u, item.cluster_id, &item.centroid});
+      fresh.push_back(FreshItem{u, &item.centroid});
       local.emplace(std::move(key), LocalVerdict{common::kInvalidClass, 0.0, false, true});
     }
   }
@@ -322,7 +297,7 @@ std::vector<FleetQueryService::UnitOutcome> FleetQueryService::ExecuteUnitsLocke
     }
     for (int64_t i = 0; i < launch.count; ++i) {
       const FreshItem& item = fresh[group.items[static_cast<size_t>(launch.offset + i)]];
-      CacheKey key{units[item.unit].camera, units[item.unit].epoch, item.cluster_id};
+      CacheKey key = KeyOf(units[item.unit].camera, *item.centroid);
       LocalVerdict& verdict = local.at(key);
       FOCUS_CHECK(verdict.pending);
       verdict.pending = false;
@@ -355,7 +330,7 @@ std::vector<FleetQueryService::UnitOutcome> FleetQueryService::ExecuteUnitsLocke
     outcome.verdicts.reserve(unit.plan.work.size());
     outcome.finish_millis = submit;
     for (const core::CentroidWorkItem& item : unit.plan.work) {
-      const LocalVerdict& verdict = local.at(CacheKey{unit.camera, unit.epoch, item.cluster_id});
+      const LocalVerdict& verdict = local.at(KeyOf(unit.camera, item.centroid));
       outcome.verdicts.push_back(verdict.top1);
       outcome.finish_millis = std::max(outcome.finish_millis, verdict.finish_millis);
       outcome.failed = outcome.failed || verdict.failed;
@@ -393,8 +368,8 @@ FleetQueryService::Admission FleetQueryService::Admit(const std::vector<Unit>& u
   // work item of the admission hits (or duplicates an earlier item), nothing
   // launches — the admission finishes at the cluster's current frontier — so
   // concurrent warm HandleLine calls skip classification and launches, and
-  // hold |mu_| only briefly below to commit counters, check the epoch and
-  // read the frontier. Any miss falls through to the pooled slow path;
+  // hold |mu_| only briefly below to commit counters and read the frontier.
+  // Any miss falls through to the pooled slow path;
   // verdicts are pure functions of the centroid, so the two paths are
   // byte-identical and differ only in stats/latency accounting, which this
   // path replicates (same hit/dedup counting as phase 1 of the slow path).
@@ -412,7 +387,7 @@ FleetQueryService::Admission FleetQueryService::Admit(const std::vector<Unit>& u
     probe.verdicts[u].reserve(units[u].plan.work.size());
     for (const core::CentroidWorkItem& item : units[u].plan.work) {
       ++probe.items;
-      CacheKey key{units[u].camera, units[u].epoch, item.cluster_id};
+      CacheKey key = KeyOf(units[u].camera, item.centroid);
       if (auto it = probed.find(key); it != probed.end()) {
         ++probe.dups;
         probe.verdicts[u].push_back(it->second);
@@ -431,21 +406,8 @@ FleetQueryService::Admission FleetQueryService::Admit(const std::vector<Unit>& u
 
   std::lock_guard<std::mutex> lock(mu_);
   stats_.requests += requests;
-  bool fast = probe.complete;
-  if (fast) {
-    // Commit requires that no unit carries an epoch the service hasn't seen:
-    // the first sighting of a newer epoch must retire its camera's older
-    // verdicts, which is the slow path's job.
-    for (const Unit& unit : units) {
-      const auto newest = newest_epoch_.find(unit.camera);
-      if (unit.epoch > (newest != newest_epoch_.end() ? newest->second : 0)) {
-        fast = false;
-        break;
-      }
-    }
-  }
   Admission admission;
-  if (!fast) {
+  if (!probe.complete) {
     admission.outcomes = ExecuteUnitsLocked(units, &admission.submit);
     return admission;
   }
@@ -530,20 +492,6 @@ FederatedExecution FleetQueryService::ExecuteFederated(const core::FederatedPlan
     metrics_->Observe("fleet.latency_millis", federated.latency_millis());
   }
   return federated;
-}
-
-common::Result<std::vector<common::ClassId>> FleetQueryService::ClassifySessionPlan(
-    const std::string& camera, const core::FocusStream& stream, const core::QueryPlan& plan) {
-  Unit unit;
-  unit.camera = camera;
-  unit.plan = plan;
-  unit.gt = &stream.gt_cnn();
-  Admission admission = Admit({std::move(unit)}, /*requests=*/1);
-  metrics_->IncrementCounter("fleet.session_expansions");
-  if (admission.outcomes[0].failed) {
-    return LaunchFailed();
-  }
-  return std::move(admission.outcomes[0].verdicts);
 }
 
 void FleetQueryService::CountTenantRequest(const std::string& tenant) {

@@ -9,14 +9,15 @@
 // plan/execute pipeline of query_engine.h:
 //
 //  - Plan every request (index lookups — free, no GPU work).
-//  - A global verdict cache keyed on (camera, epoch, centroid id): a GT-CNN
-//    verdict is a pure function of the centroid object, so once any query paid
-//    for it, every later query against the same epoch gets it free — across
-//    requests, tenants, sessions, and threads. Bounded capacity with LRU
-//    eviction; entries of a superseded epoch are retired eagerly the first
-//    time a newer epoch of that camera is seen (they can only be re-requested
-//    by a pinned stale snapshot, which simply re-pays). Within one admission,
-//    duplicate (camera, centroid) items are classified once.
+//  - A global verdict cache keyed on (camera, centroid identity): a camera
+//    name pins one GT-CNN, and the centroid's (frame, object id) names one
+//    detection of that camera's stream, so the key fixes everything the
+//    GT-CNN reads. A verdict, once any query paid for it, is free to every
+//    later query of that camera — across requests, tenants, threads, Kx
+//    values and live epochs (a new epoch reuses most of its predecessor's
+//    centroids). Bounded capacity with LRU eviction.
+//    Within one admission, duplicate (camera, centroid) items are
+//    classified once.
 //  - A cost-aware packer that pools work items across cameras AND queries:
 //    items group by cnn::ModelPackKey (never mixing models in one launch —
 //    launches run one architecture), per-camera instances of the same
@@ -28,14 +29,19 @@
 //    least-loaded device) so heterogeneous GT-CNNs pack by cost, not by count.
 //    batch_size = 1 is the per-centroid fan-out: one launch per fresh
 //    centroid at full single-inference cost.
-//  - One admission path: a single request, a pooled batch, a federated
-//    fan-out and a session step each become planned units admitted by the
-//    same function — a probe of the striped cache without the service lock
-//    answers a fully-cached admission (which then takes the lock only to
-//    commit its accounting), anything else is classified under the lock at
-//    the cluster's current frontier. Tenants only attribute traffic (the
+//  - One admission path: a single request, a pooled batch and a federated
+//    fan-out each become planned units admitted by the same function — a
+//    probe of the striped cache without the service lock answers a
+//    fully-cached admission (which then takes the lock only to commit its
+//    accounting), anything else is classified under the lock at the
+//    cluster's current frontier. Tenants only attribute traffic (the
 //    `fleet.tenant.<t>.requests` counter, for the first 64 distinct names);
 //    they are never queued.
+//
+// §5's dynamic Kx is "repeat the query with a larger Kx": the plan at a
+// smaller Kx is a subset of the plan at a larger one, so each repeat pays only
+// for the centroids the larger Kx newly admits, and a ladder of repeats pays
+// in total what one query at the final Kx pays.
 //
 // Identity contract: results are byte-identical to per-camera sequential
 // execution (core::FocusFleet::ExecuteFederatedSequential) no matter how work
@@ -114,13 +120,15 @@ struct QueryServiceOptions {
   // than idle GPUs.
   int batch_size = 32;
   // Verdict cache capacity in entries. The cache never grows past this; LRU
-  // eviction and epoch retirement keep it bounded under any query mix.
+  // eviction keeps it bounded under any query mix.
   size_t verdict_cache_capacity = 1 << 20;
 };
 
 // One request to the fleet service. |camera| is the verdict-cache identity and
-// must name the same target across requests (it is the camera's registry name
-// in a served deployment); |query| carries the target and the query itself.
+// must name the same stream, classified by the same GT-CNN, across requests
+// (it is the camera's registry name in a served deployment); its finalized
+// index and every live epoch of it may be queried under the one name. |query|
+// carries the target and the query itself.
 // |tenant| only attributes the request (the `fleet.tenant.<t>.requests`
 // counter; names past the first 64 share `fleet.tenant_overflow.requests`);
 // it never changes when or how the request runs.
@@ -144,7 +152,7 @@ struct FleetServiceStats {
   int64_t launches_failed = 0;
   common::GpuMillis wasted_gpu_millis = 0.0;
   int64_t cache_evicted = 0;  // Capacity (LRU) evictions.
-  int64_t cache_retired = 0;  // Epoch-retirement evictions.
+  int64_t cache_retired = 0;  // Always 0; still read by perfbench/workloads.cc.
   size_t cache_size = 0;      // Current entries (bounded by capacity).
 
   double CacheHitRate() const {
@@ -176,8 +184,8 @@ class FleetQueryService {
   // Executes one request through the shared cache/cluster. Thread-safe:
   // concurrent callers see each other's verdicts. Cold requests classify one
   // admission at a time under the service lock; a fully-cached request skips
-  // classification and launches and holds that lock only to commit counters,
-  // check the epoch and read the cluster frontier.
+  // classification and launches and holds that lock only to commit counters
+  // and read the cluster frontier.
   QueryExecution Execute(const FleetQueryRequest& request);
 
   // Executes a batch admitted together: work is pooled, deduplicated and
@@ -193,24 +201,20 @@ class FleetQueryService {
   FederatedExecution ExecuteFederated(const core::FederatedPlan& plan,
                                       const std::string& tenant = "default");
 
-  // QuerySession integration (core::QuerySession::SetClassifier): classifies
-  // |plan|'s work items for |stream| (registered as |camera|) through the
-  // shared cache, so concurrent sessions over one stream never re-pay a
-  // centroid another session (or any past query) already paid. Returns top-1
-  // verdicts in plan order, or Unavailable if a launch carrying any of them
-  // stayed failed past the retry policy (the verdicts that did land are
-  // cached, so a retry re-pays only the failed ones).
-  common::Result<std::vector<common::ClassId>> ClassifySessionPlan(
-      const std::string& camera, const core::FocusStream& stream, const core::QueryPlan& plan);
-
   FleetServiceStats stats() const;
   const QueryServiceOptions& options() const { return options_; }
 
  private:
+  // A verdict's identity: the camera (which pins the GT-CNN) and the
+  // centroid detection (frame, object id), which fixes every field
+  // cnn::Cnn::Classify reads. Epoch- and cluster-id-free, so a centroid keeps
+  // its verdict across live epochs. The camera is its interned id
+  // (CameraIdOf), so a key is three integers: no string is copied or hashed
+  // per work item.
   struct CacheKey {
-    std::string camera;
-    uint64_t epoch = 0;
-    int64_t cluster_id = -1;
+    uint32_t camera = 0;
+    common::FrameIndex frame = 0;
+    common::ObjectId object_id = 0;
 
     bool operator==(const CacheKey&) const = default;
   };
@@ -218,15 +222,15 @@ class FleetQueryService {
     size_t operator()(const CacheKey& key) const;
   };
   using LruList = std::list<std::pair<CacheKey, common::ClassId>>;
+  static CacheKey KeyOf(uint32_t camera, const video::Detection& centroid);
 
-  // The verdict cache is sharded into stripes keyed on hash(camera, centroid)
-  // — epoch excluded, so all epochs of a centroid land in one stripe and
-  // epoch retirement sweeps exactly one stripe per key. Each stripe has its
-  // own mutex and LRU; the configured capacity is split exactly across
-  // stripes (global size never exceeds it). Stripe locks are leaves: they are
-  // taken one at a time, with or without |mu_|, which is what lets Admit's
-  // fully-cached fast path probe every verdict before it takes the
-  // service-wide lock, and then hold it only to commit its accounting.
+  // The verdict cache is sharded into stripes keyed on the key's hash. Each
+  // stripe has its own mutex and LRU; the configured capacity is split
+  // exactly across stripes (global size never exceeds it). Stripe locks are
+  // leaves: they are taken one at a time, with or without |mu_|, which is
+  // what lets Admit's fully-cached fast path probe every verdict before it
+  // takes the service-wide lock, and then hold it only to commit its
+  // accounting.
   static constexpr size_t kCacheStripes = 16;
   struct CacheStripe {
     mutable std::mutex mu;
@@ -235,15 +239,13 @@ class FleetQueryService {
     size_t capacity = 0;
   };
 
-  // One planned target inside an admission (a request, a federated camera, or
-  // a session expansion step).
+  // One planned target inside an admission (a request or a federated
+  // camera).
   struct Unit {
-    std::string camera;
-    uint64_t epoch = 0;
+    uint32_t camera = 0;  // CameraIdOf the request's camera name.
     core::QueryPlan plan;
     const cnn::Cnn* gt = nullptr;
-    // Resolver target (exactly one set; both null for session units, which
-    // consume raw verdicts instead of a resolved QueryResult).
+    // Resolver target (exactly one set).
     const core::FocusStream* stream = nullptr;
     std::shared_ptr<const core::LiveSnapshot> snapshot;
     const cnn::Cnn* ingest_cnn = nullptr;
@@ -262,13 +264,17 @@ class FleetQueryService {
     common::GpuMillis submit = 0.0;
   };
 
-  static Unit UnitFromRequest(const FleetQueryRequest& request);
-  static Unit UnitFromFederated(const core::FederatedCameraPlan& camera);
+  Unit UnitFromRequest(const FleetQueryRequest& request);
+  Unit UnitFromFederated(const core::FederatedCameraPlan& camera);
+  // The service-lifetime id of a camera name: the first name seen is 0, the
+  // next new one 1, and so on. Names are never forgotten (one entry per
+  // distinct camera the service has queried).
+  uint32_t CameraIdOf(const std::string& camera);
 
   // The one admission path. Probes the striped cache without |mu_|; if every
-  // work item hits (or duplicates an earlier item) and no unit carries an
-  // unseen epoch, the admission finishes at the cluster frontier with no
-  // launch, holding |mu_| only to commit stats and read the frontier.
+  // work item hits (or duplicates an earlier item), the admission finishes at
+  // the cluster frontier with no launch, holding |mu_| only to commit stats
+  // and read the frontier.
   // Otherwise it runs ExecuteUnitsLocked under |mu_|. |requests| is what the
   // admission adds to stats().requests.
   Admission Admit(const std::vector<Unit>& units, int64_t requests);
@@ -283,12 +289,11 @@ class FleetQueryService {
                              common::GpuMillis submit) const;
 
   // Striped-cache helpers (each takes its stripe's lock internally; safe with
-  // or without |mu_|). Lookup refreshes LRU position. Insert and RetireEpochs
-  // additionally require |mu_| (they mutate stats_ counters).
-  size_t StripeIndexOf(const CacheKey& key) const;
+  // or without |mu_|). Lookup refreshes LRU position. Insert additionally
+  // requires |mu_| (it mutates stats_ counters).
+  CacheStripe& StripeOf(const CacheKey& key);
   std::optional<common::ClassId> CacheLookup(const CacheKey& key);
   void CacheInsert(CacheKey key, common::ClassId top1);
-  void RetireEpochs(const std::string& camera, uint64_t newest_epoch);
   size_t CacheSize() const;
 
   // Counts one request of |tenant| under fleet.tenant.<t>.requests. The first
@@ -307,7 +312,9 @@ class FleetQueryService {
 
   std::array<CacheStripe, kCacheStripes> stripes_;
   size_t num_stripes_ = 1;
-  std::unordered_map<std::string, uint64_t> newest_epoch_;
+
+  std::mutex cameras_mu_;  // Leaf lock; guards only |camera_ids_|.
+  std::unordered_map<std::string, uint32_t> camera_ids_;
 
   std::mutex tenants_mu_;  // Leaf lock; guards only |counted_tenants_|.
   std::unordered_set<std::string> counted_tenants_;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -29,14 +31,25 @@ std::vector<std::string> SplitCameraList(const std::string& token) {
   }
 }
 
-// Parses |text| as a whole base-10 integer in [1, INT_MAX]. The value is
-// range-checked as a long long before it narrows (strtoll clamps anything past
-// its own range to LLONG_MIN/LLONG_MAX, which the check rejects too), so no
-// out-of-range number wraps into an accepted int.
-bool ParsePositiveInt(const std::string& text, int* value) {
+// A whole base-10 int64; a value past int64 is an error, not a clamp.
+bool ParseI64(const std::string& token, int64_t* out) {
   char* end = nullptr;
-  const long long parsed = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || parsed <= 0 || parsed > INT_MAX) {
+  errno = 0;
+  *out = std::strtoll(token.c_str(), &end, 10);
+  return end != token.c_str() && *end == '\0' && errno != ERANGE;
+}
+
+// strtod accepts hexfloat ("0x1.8p+3"), which the wire relies on.
+bool ParseF64(const std::string& token, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(token.c_str(), &end);
+  return end != token.c_str() && *end == '\0';
+}
+
+// Parses |text| as a whole base-10 integer in [1, INT_MAX].
+bool ParsePositiveInt(const std::string& text, int* value) {
+  int64_t parsed = 0;
+  if (!ParseI64(text, &parsed) || parsed <= 0 || parsed > INT_MAX) {
     return false;
   }
   *value = static_cast<int>(parsed);
@@ -80,15 +93,15 @@ common::Result<bool> ParseQueryOptions(const std::vector<std::string>& tokens, s
       i += 2;
       continue;
     }
-    char* end = nullptr;
+    double* bound = nullptr;
     if (key == "BEGIN") {
-      request->range.begin_sec = std::strtod(value.c_str(), &end);
+      bound = &request->range.begin_sec;
     } else if (key == "END") {
-      request->range.end_sec = std::strtod(value.c_str(), &end);
+      bound = &request->range.end_sec;
     } else {
       return BadRequest("unknown option " + key);
     }
-    if (end == value.c_str() || *end != '\0') {
+    if (!ParseF64(value, bound)) {
       return BadRequest("bad number for " + key + ": " + value);
     }
     i += 2;
@@ -97,6 +110,41 @@ common::Result<bool> ParseQueryOptions(const std::vector<std::string>& tokens, s
     return BadRequest("END must be after BEGIN");
   }
   return true;
+}
+
+// Reverse of common::ErrorCodeName, so a worker-side typed error survives
+// the trip as the same code instead of collapsing to a generic failure.
+common::ErrorCode ErrorCodeFromName(const std::string& name) {
+  static constexpr common::ErrorCode kCodes[] = {
+      common::ErrorCode::kInvalidArgument, common::ErrorCode::kNotFound,
+      common::ErrorCode::kFailedPrecondition, common::ErrorCode::kOutOfRange,
+      common::ErrorCode::kInternal,        common::ErrorCode::kIo,
+      common::ErrorCode::kUnavailable,     common::ErrorCode::kTimeout,
+      common::ErrorCode::kDataLoss,
+  };
+  for (common::ErrorCode code : kCodes) {
+    if (name == common::ErrorCodeName(code)) {
+      return code;
+    }
+  }
+  return common::ErrorCode::kInternal;
+}
+
+// Whether sorted, disjoint, non-inverted frame runs of non-negative frames
+// cover exactly |frames| frames.
+bool RunsAreWellFormed(const std::vector<std::pair<common::FrameIndex, common::FrameIndex>>& runs,
+                       int64_t frames) {
+  // Each run spans at most 2^63 frames and the runs are disjoint within
+  // [0, INT64_MAX], so the unsigned total cannot wrap.
+  uint64_t covered = 0;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const auto [first, last] = runs[i];
+    if (first < 0 || first > last || (i > 0 && first <= runs[i - 1].second)) {
+      return false;
+    }
+    covered += static_cast<uint64_t>(last) - static_cast<uint64_t>(first) + 1;
+  }
+  return covered == static_cast<uint64_t>(frames);
 }
 
 }  // namespace
@@ -252,6 +300,106 @@ std::string OkResponse(const std::string& payload) {
 
 std::string ErrResponse(common::ErrorCode code, const std::string& message) {
   return std::string("ERR ") + common::ErrorCodeName(code) + " " + message;
+}
+
+std::string EncodeWorkerRequest(common::ClassId cls, int kx, common::TimeRange range) {
+  std::ostringstream out;
+  out << "Q " << cls << ' ' << kx << ' ' << std::hexfloat << range.begin_sec << ' '
+      << range.end_sec;
+  return out.str();
+}
+
+common::Result<WorkerQuery> DecodeWorkerRequest(const std::string& request) {
+  const std::vector<std::string> tokens = Tokenize(request);
+  int64_t cls = 0;
+  int64_t kx = 0;
+  WorkerQuery query;
+  if (tokens.size() != 5 || tokens[0] != "Q" || !ParseI64(tokens[1], &cls) ||
+      !ParseI64(tokens[2], &kx) || !ParseF64(tokens[3], &query.range.begin_sec) ||
+      !ParseF64(tokens[4], &query.range.end_sec) || cls < INT_MIN || cls > INT_MAX ||
+      kx < INT_MIN || kx > INT_MAX) {
+    return common::InvalidArgument("malformed worker request: " + request);
+  }
+  query.cls = static_cast<common::ClassId>(cls);
+  query.kx = static_cast<int>(kx);
+  return query;
+}
+
+std::string EncodeWorkerError(const common::Error& error) {
+  return std::string("E ") + common::ErrorCodeName(error.code) + " " + error.message;
+}
+
+std::string EncodeWorkerReply(const ShmAnswer& answer) {
+  std::ostringstream out;
+  out << "R " << answer.epoch << ' ' << answer.watermark << ' '
+      << answer.result.centroids_classified << ' ' << answer.result.clusters_matched << ' '
+      << answer.result.frames_returned << ' ' << std::hexfloat << answer.result.gpu_millis;
+  for (const auto& [first, last] : answer.result.frame_runs) {
+    out << ' ' << first << ':' << last;
+  }
+  return out.str();
+}
+
+common::Result<ShmAnswer> DecodeWorkerReply(const std::string& reply,
+                                            common::ClassId queried) {
+  const std::vector<std::string> tokens = Tokenize(reply);
+  if (tokens.empty()) {
+    return common::IoError("empty worker reply");
+  }
+  if (tokens[0] == "E") {
+    if (tokens.size() < 2) {
+      return common::IoError("malformed worker error frame: " + reply);
+    }
+    std::string message;
+    for (size_t i = 2; i < tokens.size(); ++i) {
+      if (i > 2) {
+        message += ' ';
+      }
+      message += tokens[i];
+    }
+    return common::Error{ErrorCodeFromName(tokens[1]), std::move(message)};
+  }
+  if (tokens[0] != "R" || tokens.size() < 7) {
+    return common::IoError("malformed worker reply frame: " + reply);
+  }
+  ShmAnswer answer;
+  core::QueryResult& result = answer.result;
+  result.queried = queried;
+  int64_t epoch = 0;
+  if (!ParseI64(tokens[1], &epoch) || !ParseI64(tokens[2], &answer.watermark) ||
+      !ParseI64(tokens[3], &result.centroids_classified) ||
+      !ParseI64(tokens[4], &result.clusters_matched) ||
+      !ParseI64(tokens[5], &result.frames_returned) ||
+      !ParseF64(tokens[6], &result.gpu_millis)) {
+    return common::IoError("bad number in worker reply frame: " + reply);
+  }
+  if (epoch < 0 || answer.watermark < 0 || result.centroids_classified < 0 ||
+      result.clusters_matched < 0 || result.clusters_matched > result.centroids_classified ||
+      result.frames_returned < 0 || !std::isfinite(result.gpu_millis) ||
+      result.gpu_millis < 0.0) {
+    return common::IoError("out-of-range field in worker reply frame: " + reply);
+  }
+  answer.epoch = static_cast<uint64_t>(epoch);
+  for (size_t i = 7; i < tokens.size(); ++i) {
+    const size_t colon = tokens[i].find(':');
+    int64_t first = 0;
+    int64_t last = 0;
+    if (colon == std::string::npos || !ParseI64(tokens[i].substr(0, colon), &first) ||
+        !ParseI64(tokens[i].substr(colon + 1), &last)) {
+      return common::IoError("bad frame run in worker reply: " + tokens[i]);
+    }
+    result.frame_runs.emplace_back(first, last);
+  }
+  if (!RunsAreWellFormed(result.frame_runs, result.frames_returned)) {
+    return common::IoError("frame runs in worker reply are not sorted, disjoint runs of " +
+                           std::to_string(result.frames_returned) + " frames");
+  }
+  // Numbers in another spelling (leading zeros, a '+', a longer hexfloat),
+  // other whitespace or trailing bytes: not what a worker writes.
+  if (EncodeWorkerReply(answer) != reply) {
+    return common::IoError("non-canonical worker reply frame: " + reply);
+  }
+  return answer;
 }
 
 }  // namespace focus::server

@@ -32,15 +32,33 @@
 // Parsing is strict: unknown verbs, missing arguments, or trailing junk are errors —
 // a query frontend that guesses is a frontend that silently answers the wrong
 // question.
+//
+// The second half of this file is the server <-> worker wire of supervised shm
+// serving (docs/shm_serving.md), one line each way:
+//
+//   request:   Q <cls> <kx> <begin> <end>          (range bounds in hexfloat)
+//   reply ok:  R <epoch> <watermark> <centroids> <matched> <frames> <gpu>
+//              [<first>:<last> ...]                (gpu in hexfloat)
+//   reply err: E <CodeName> <message...>
+//
+// Floating fields cross as hexfloat so the answer the parent frames is
+// bit-exact against an in-process query of the same epoch. Decoding
+// tokenizes and converts with strtod — istream extraction does not accept
+// hexfloat, so a stream-based parse would silently read 0. A reply is bytes a
+// crashed or hostile worker may have written: DecodeWorkerReply accepts only
+// a well-formed answer in the exact form EncodeWorkerReply writes, and
+// anything else is a typed error.
 #ifndef FOCUS_SRC_SERVER_PROTOCOL_H_
 #define FOCUS_SRC_SERVER_PROTOCOL_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/common/result.h"
 #include "src/common/time_types.h"
+#include "src/core/query_engine.h"
 
 namespace focus::server {
 
@@ -80,6 +98,36 @@ std::string ErrResponse(common::ErrorCode code, const std::string& message);
 
 // Splits on single spaces, ignoring leading/trailing whitespace.
 std::vector<std::string> Tokenize(const std::string& line);
+
+// --- The worker wire ---
+
+// One shm query as the parent sends it to a worker.
+struct WorkerQuery {
+  common::ClassId cls = common::kInvalidClass;
+  int kx = -1;
+  common::TimeRange range{};
+};
+
+// A shm query answer plus the epoch provenance the response frames.
+struct ShmAnswer {
+  uint64_t epoch = 0;
+  int64_t watermark = 0;
+  core::QueryResult result;
+};
+
+std::string EncodeWorkerRequest(common::ClassId cls, int kx, common::TimeRange range);
+// Malformed requests are InvalidArgument.
+common::Result<WorkerQuery> DecodeWorkerRequest(const std::string& request);
+
+std::string EncodeWorkerError(const common::Error& error);
+std::string EncodeWorkerReply(const ShmAnswer& answer);
+// An "E" frame decodes to the worker's typed error. An "R" frame decodes to
+// an answer for |queried| only when it is well formed: no field out of range
+// or negative, a finite non-negative gpu figure, frame runs sorted, disjoint
+// and non-inverted whose lengths sum to the frame count, at most as many
+// matched clusters as classified centroids, and bytes identical to what
+// EncodeWorkerReply writes for that answer. Anything else is kIo.
+common::Result<ShmAnswer> DecodeWorkerReply(const std::string& reply, common::ClassId queried);
 
 }  // namespace focus::server
 

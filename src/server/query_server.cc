@@ -13,128 +13,6 @@ namespace focus::server {
 
 namespace {
 
-// --- Supervised shm serving: the server <-> worker wire -----------------
-//
-//   request:   Q <cls> <kx> <begin> <end>          (range bounds in hexfloat)
-//   reply ok:  R <epoch> <watermark> <centroids> <matched> <frames> <gpu>
-//              [<first>:<last> ...]                (gpu in hexfloat)
-//   reply err: E <CodeName> <message...>
-//
-// Floating fields cross as hexfloat so the answer the parent frames is
-// bit-exact against an in-process query of the same epoch. Decoding
-// tokenizes and converts with strtod — istream extraction does not accept
-// hexfloat, so a stream-based parse would silently read 0.
-
-// Reverse of common::ErrorCodeName, so a worker-side typed error survives
-// the trip as the same code instead of collapsing to a generic failure.
-common::ErrorCode ErrorCodeFromName(const std::string& name) {
-  static constexpr common::ErrorCode kCodes[] = {
-      common::ErrorCode::kInvalidArgument, common::ErrorCode::kNotFound,
-      common::ErrorCode::kFailedPrecondition, common::ErrorCode::kOutOfRange,
-      common::ErrorCode::kInternal,        common::ErrorCode::kIo,
-      common::ErrorCode::kUnavailable,     common::ErrorCode::kTimeout,
-      common::ErrorCode::kDataLoss,
-  };
-  for (common::ErrorCode code : kCodes) {
-    if (name == common::ErrorCodeName(code)) {
-      return code;
-    }
-  }
-  return common::ErrorCode::kInternal;
-}
-
-bool ParseI64(const std::string& token, int64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoll(token.c_str(), &end, 10);
-  return end != token.c_str() && *end == '\0';
-}
-
-// strtod accepts hexfloat ("0x1.8p+3"), which the wire relies on.
-bool ParseF64(const std::string& token, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(token.c_str(), &end);
-  return end != token.c_str() && *end == '\0';
-}
-
-// A shm query answer plus the epoch provenance the response frames.
-struct ShmAnswer {
-  uint64_t epoch = 0;
-  int64_t watermark = 0;
-  core::QueryResult result;
-};
-
-std::string EncodeWorkerRequest(common::ClassId cls, int kx, common::TimeRange range) {
-  std::ostringstream out;
-  out << "Q " << cls << ' ' << kx << ' ' << std::hexfloat << range.begin_sec << ' '
-      << range.end_sec;
-  return out.str();
-}
-
-std::string EncodeWorkerError(const common::Error& error) {
-  return std::string("E ") + common::ErrorCodeName(error.code) + " " + error.message;
-}
-
-std::string EncodeWorkerReply(const ShmAnswer& answer) {
-  std::ostringstream out;
-  out << "R " << answer.epoch << ' ' << answer.watermark << ' '
-      << answer.result.centroids_classified << ' ' << answer.result.clusters_matched << ' '
-      << answer.result.frames_returned << ' ' << std::hexfloat << answer.result.gpu_millis;
-  for (const auto& [first, last] : answer.result.frame_runs) {
-    out << ' ' << first << ':' << last;
-  }
-  return out.str();
-}
-
-common::Result<ShmAnswer> DecodeWorkerReply(const std::string& reply,
-                                            common::ClassId queried) {
-  const std::vector<std::string> tokens = Tokenize(reply);
-  if (tokens.empty()) {
-    return common::IoError("empty worker reply");
-  }
-  if (tokens[0] == "E") {
-    if (tokens.size() < 2) {
-      return common::IoError("malformed worker error frame: " + reply);
-    }
-    std::string message;
-    for (size_t i = 2; i < tokens.size(); ++i) {
-      if (i > 2) {
-        message += ' ';
-      }
-      message += tokens[i];
-    }
-    return common::Error{ErrorCodeFromName(tokens[1]), std::move(message)};
-  }
-  if (tokens[0] != "R" || tokens.size() < 7) {
-    return common::IoError("malformed worker reply frame: " + reply);
-  }
-  ShmAnswer answer;
-  answer.result.queried = queried;
-  int64_t epoch = 0;
-  int64_t centroids = 0;
-  int64_t matched = 0;
-  int64_t frames = 0;
-  if (!ParseI64(tokens[1], &epoch) || !ParseI64(tokens[2], &answer.watermark) ||
-      !ParseI64(tokens[3], &centroids) || !ParseI64(tokens[4], &matched) ||
-      !ParseI64(tokens[5], &frames) || !ParseF64(tokens[6], &answer.result.gpu_millis)) {
-    return common::IoError("bad number in worker reply frame: " + reply);
-  }
-  answer.epoch = static_cast<uint64_t>(epoch);
-  answer.result.centroids_classified = centroids;
-  answer.result.clusters_matched = matched;
-  answer.result.frames_returned = frames;
-  for (size_t i = 7; i < tokens.size(); ++i) {
-    const size_t colon = tokens[i].find(':');
-    int64_t first = 0;
-    int64_t last = 0;
-    if (colon == std::string::npos || !ParseI64(tokens[i].substr(0, colon), &first) ||
-        !ParseI64(tokens[i].substr(colon + 1), &last)) {
-      return common::IoError("bad frame run in worker reply: " + tokens[i]);
-    }
-    answer.result.frame_runs.emplace_back(first, last);
-  }
-  return answer;
-}
-
 // Acquire + QueryChecked under a short in-place retry budget: a pin evicted
 // mid-scan, or a plane outpacing the reader, is retryable right here — the
 // next Acquire pins the newer epoch.
@@ -209,20 +87,14 @@ struct ShmWorkerState {
   }
 
   std::string Handle(const std::string& request) {
-    const std::vector<std::string> tokens = Tokenize(request);
-    int64_t cls = 0;
-    int64_t kx = 0;
-    common::TimeRange range;
-    if (tokens.size() != 5 || tokens[0] != "Q" || !ParseI64(tokens[1], &cls) ||
-        !ParseI64(tokens[2], &kx) || !ParseF64(tokens[3], &range.begin_sec) ||
-        !ParseF64(tokens[4], &range.end_sec)) {
-      return EncodeWorkerError(common::InvalidArgument("malformed worker request: " + request));
+    const common::Result<WorkerQuery> query = DecodeWorkerRequest(request);
+    if (!query.ok()) {
+      return EncodeWorkerError(query.error());
     }
     if (auto attached = EnsureAttached(); !attached.ok()) {
       return EncodeWorkerError(attached.error());
     }
-    auto answer = QueryPinned(*reader, static_cast<common::ClassId>(cls),
-                              static_cast<int>(kx), range, *cheap, *gt);
+    auto answer = QueryPinned(*reader, query->cls, query->kx, query->range, *cheap, *gt);
     if (!answer.ok()) {
       return EncodeWorkerError(answer.error());
     }
@@ -442,7 +314,8 @@ std::string QueryServer::HandleShmQuery(const Request& request, ShmPlane& plane)
       auto answer = DecodeWorkerReply(*reply, cls);
       if (!answer.ok()) {
         // The worker answered with a typed error it computed (attach or
-        // acquire failure) — not a transport fault; pass it through.
+        // acquire failure), or a reply that is not a well-formed answer
+        // (kIo) — not a transport fault; pass it through.
         metrics_->IncrementCounter("server.query_errors");
         return ErrResponse(answer.error().code, answer.error().message);
       }
@@ -497,9 +370,10 @@ std::string QueryServer::HandleQuery(const Request& request) {
   // Execute through the shared fleet service (§5, docs/fleet_serving.md): the
   // plan's centroid classifications run launch-packed on the process-wide
   // virtual cluster, and their verdicts land in the global cache keyed on
-  // (camera, epoch, centroid) — a repeat of this query, by anyone, pays
-  // nothing. The result payload is identical either way; only LATENCY_MS
-  // reflects the cache (0 on a fully warm repeat).
+  // (camera, centroid) — a repeat of this query, by anyone, pays nothing, and
+  // a repeat at a larger KX pays only for the centroids it newly admits. The
+  // result payload is identical either way; only LATENCY_MS reflects the
+  // cache (0 on a fully warm repeat).
   runtime::FleetQueryRequest fleet_request;
   fleet_request.camera = request.camera;
   fleet_request.tenant = request.tenant;
@@ -732,7 +606,7 @@ std::string QueryServer::HandleStats(const std::string& camera) {
         << " CACHE_MISSES " << stats.cache_misses << " HIT_RATE " << stats.CacheHitRate()
         << " DEDUP " << stats.dedup_hits << " LAUNCHES " << stats.launches << " GPU_MS "
         << stats.gpu_millis << " CACHE_SIZE " << stats.cache_size << " EVICTED "
-        << stats.cache_evicted << " RETIRED " << stats.cache_retired;
+        << stats.cache_evicted;
     return OkResponse(out.str());
   }
   const core::FocusStream* stream = fleet_->Find(camera);

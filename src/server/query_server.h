@@ -6,7 +6,9 @@
 // runtime::FleetQueryService every QUERY executes through (internally locked),
 // so concurrent HandleLine calls are safe — and share its global verdict cache:
 // a centroid any request classified is never re-paid by a later request
-// against the same camera and epoch (docs/fleet_serving.md).
+// against the same camera, at any Kx or live epoch (docs/fleet_serving.md).
+// §5's dynamic Kx is therefore a repeat of QUERY with a larger KX: it pays
+// only for the centroids the larger Kx newly admits.
 //
 // QUERY requests execute through the batched plan/execute path (§5,
 // query_engine.h / fleet_query_service.h): the plan's centroid classifications
@@ -26,8 +28,8 @@
 // newest published canonical snapshot while its ingest is still running — the
 // response carries EPOCH and WATERMARK, and the frame runs are byte-identical
 // to what halting ingest at that watermark and finalizing would return
-// (docs/live_query.md). Verdicts cache per epoch; superseded epochs are
-// retired from the cache as new ones are first queried.
+// (docs/live_query.md). A centroid an earlier epoch already classified keeps
+// its cached verdict in every later epoch.
 //
 // Degraded serving (docs/robustness.md): a live stream whose ingest worker is
 // Degraded or Down still answers from its last-good epoch snapshot, framed

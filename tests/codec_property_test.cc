@@ -1,8 +1,9 @@
 // Property tests for the storage formats, parameterized over seeds — the
 // seeded mutation harness (ctest label `fuzz`) for the index image decoder,
 // index::IndexView::Open, the index file around it, the clustering
-// checkpoint meta (sharded.meta, section near the end of this file) and the
-// server's protocol decoder (server::ParseRequest, last section):
+// checkpoint meta (sharded.meta, section near the end of this file), the
+// server's protocol decoder (server::ParseRequest) and the worker reply
+// decoder (server::DecodeWorkerReply; the last two sections):
 //   * random structured indexes round-trip bit-exactly through the image and
 //     the index file, and re-assemble to the same bytes;
 //   * random bit flips, truncations and garbage are always rejected;
@@ -16,11 +17,13 @@
 #include <algorithm>
 #include <cctype>
 #include <cstddef>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -1266,16 +1269,18 @@ std::string JoinTokens(const std::vector<std::string>& tokens) {
 }
 
 // One mutation of |line|: a bit flip, a truncation, a token splice (a token
-// replaced by, or a token inserted from, the splice pool or another corpus
-// line), or a swap of two tokens.
-std::string MutateLine(const std::string& line, common::Pcg32& rng) {
+// replaced by, or a token inserted from, |splice_pool| or a |corpus| line), or
+// a swap of two tokens.
+std::string MutateLine(const std::string& line, common::Pcg32& rng,
+                       std::span<const std::string> corpus,
+                       std::span<const char* const> splice_pool) {
   std::vector<std::string> tokens = SplitTokens(line);
-  auto splice_token = [&rng]() -> std::string {
+  auto splice_token = [&]() -> std::string {
     if (rng.NextBool(0.5)) {
-      return kSpliceTokens[rng.NextBounded(std::size(kSpliceTokens))];
+      return splice_pool[rng.NextBounded(static_cast<uint32_t>(splice_pool.size()))];
     }
     const std::vector<std::string> donor =
-        SplitTokens(kProtocolCorpus[rng.NextBounded(std::size(kProtocolCorpus))]);
+        SplitTokens(corpus[rng.NextBounded(static_cast<uint32_t>(corpus.size()))]);
     return donor[rng.NextBounded(static_cast<uint32_t>(donor.size()))];
   };
   switch (rng.NextBounded(5)) {
@@ -1353,6 +1358,7 @@ TEST(ProtocolFuzz, CorpusLinesParse) {
 }
 
 TEST(ProtocolFuzz, MutatedLinesAreATypedErrorOrAFaithfulRequest) {
+  const std::vector<std::string> corpus(std::begin(kProtocolCorpus), std::end(kProtocolCorpus));
   int parsed = 0;
   int rejected = 0;
   for (uint64_t seed : {1, 2, 3, 5, 8, 13, 21, 34, 55, 89}) {
@@ -1362,7 +1368,7 @@ TEST(ProtocolFuzz, MutatedLinesAreATypedErrorOrAFaithfulRequest) {
         std::string mutant = original;
         const uint32_t depth = 1 + rng.NextBounded(3);
         for (uint32_t m = 0; m < depth; ++m) {
-          mutant = MutateLine(mutant, rng);
+          mutant = MutateLine(mutant, rng, corpus, kSpliceTokens);
         }
         (ExpectTypedErrorOrFaithfulRequest(mutant) ? parsed : rejected) += 1;
       }
@@ -1370,6 +1376,140 @@ TEST(ProtocolFuzz, MutatedLinesAreATypedErrorOrAFaithfulRequest) {
   }
   // Both sides of the contract were exercised.
   EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+// --- Worker replies (server::DecodeWorkerReply) ---
+//
+// A worker reply is bytes a crashed or hostile worker process may have
+// written. The corpus is replies EncodeWorkerReply produced, plus one error
+// frame; each seeded mutant stacks one to three bit flips, truncations, token
+// splices and token swaps. Whatever the mutant, the decoder answers a typed
+// error (kIo, or the code an "E" frame names) or a well-formed answer that
+// re-encodes to exactly the mutant's bytes.
+
+ShmAnswer MakeAnswer(uint64_t epoch, int64_t watermark, int64_t centroids, int64_t matched,
+                     double gpu, std::vector<std::pair<int64_t, int64_t>> runs) {
+  ShmAnswer answer;
+  answer.epoch = epoch;
+  answer.watermark = watermark;
+  answer.result.centroids_classified = centroids;
+  answer.result.clusters_matched = matched;
+  answer.result.gpu_millis = gpu;
+  for (const auto& [first, last] : runs) {
+    answer.result.frames_returned += last - first + 1;
+  }
+  answer.result.frame_runs = std::move(runs);
+  return answer;
+}
+
+std::vector<std::string> WorkerReplyCorpus() {
+  return {
+      EncodeWorkerReply(MakeAnswer(0, 0, 0, 0, 0.0, {})),
+      EncodeWorkerReply(MakeAnswer(3, 5400, 12, 0, 12 * 13.5, {})),
+      EncodeWorkerReply(MakeAnswer(7, 9000, 40, 3, 40 * 13.5, {{30, 95}, {400, 400}})),
+      EncodeWorkerReply(MakeAnswer(174, 155190, 96, 11, 96 * 13.5,
+                                   {{0, 12}, {14, 14}, {2010, 2999}, {150000, 155189}})),
+      EncodeWorkerError(common::Unavailable("no epoch acquired")),
+  };
+}
+
+// Tokens a splice draws from besides the corpus's own: numbers at and past
+// the int64 edges, negative and non-finite values, other spellings of valid
+// numbers, and inverted, overlapping or malformed frame runs.
+const char* const kReplySpliceTokens[] = {
+    "R",  "E",  "Io", "0", "-1", "1", "007", "+7", "9223372036854775807",
+    "9223372036854775808", "-9223372036854775808", "99999999999999999999",
+    "0x1.8p+3", "0x1.80p+3", "-0x1p+0", "0x0p+0", "nan", "inf", "-inf", "1e3",
+    "5:3", "3:5", "3:3", "-1:2", "0:9223372036854775807", "1:99999999999999999999",
+    "30:95", "96:96", "2:", ":2", "1:2:3", "",
+};
+
+// The decoder's contract on any reply; returns whether it decoded an answer.
+bool ExpectTypedErrorOrCanonicalAnswer(const std::string& reply) {
+  SCOPED_TRACE("reply: \"" + reply + "\"");
+  const common::Result<ShmAnswer> answer = DecodeWorkerReply(reply, /*queried=*/4);
+  if (!answer.ok()) {
+    const std::vector<std::string> tokens = Tokenize(reply);
+    if (tokens.empty() || tokens[0] != "E" || tokens.size() < 2) {
+      EXPECT_EQ(answer.error().code, common::ErrorCode::kIo) << answer.error().message;
+    }
+    return false;
+  }
+  EXPECT_EQ(EncodeWorkerReply(*answer), reply);
+  const core::QueryResult& result = answer->result;
+  EXPECT_EQ(result.queried, 4);
+  EXPECT_GE(answer->watermark, 0);
+  EXPECT_GE(result.clusters_matched, 0);
+  EXPECT_LE(result.clusters_matched, result.centroids_classified);
+  EXPECT_TRUE(std::isfinite(result.gpu_millis) && result.gpu_millis >= 0.0);
+  int64_t frames = 0;
+  int64_t prev_last = -1;
+  for (const auto& [first, last] : result.frame_runs) {
+    EXPECT_GT(first, prev_last);
+    EXPECT_LE(first, last);
+    frames += last - first + 1;
+    prev_last = last;
+  }
+  EXPECT_EQ(frames, result.frames_returned);
+  return true;
+}
+
+TEST(WorkerReplyFuzz, CorpusRepliesDecodeOrCarryTheirError) {
+  const std::vector<std::string> corpus = WorkerReplyCorpus();
+  for (size_t i = 0; i + 1 < corpus.size(); ++i) {
+    EXPECT_TRUE(ExpectTypedErrorOrCanonicalAnswer(corpus[i]));
+  }
+  const common::Result<ShmAnswer> error = DecodeWorkerReply(corpus.back(), 4);
+  ASSERT_FALSE(error.ok());
+  EXPECT_EQ(error.error().code, common::ErrorCode::kUnavailable);
+  EXPECT_EQ(error.error().message, "no epoch acquired");
+}
+
+TEST(WorkerReplyFuzz, HostileFieldsAreRejected) {
+  for (const char* reply : {
+           "R 99999999999999999999 0 0 0 0 0x0p+0",  // Past int64: not a clamp.
+           "R -1 0 0 0 0 0x0p+0",                     // Negative epoch.
+           "R 0 -5 0 0 0 0x0p+0",                     // Negative watermark.
+           "R 0 0 -1 0 0 0x0p+0",                     // Negative count.
+           "R 0 0 1 2 0 0x0p+0",                      // More matched than classified.
+           "R 0 0 0 0 0 nan",                         // Non-finite gpu.
+           "R 0 0 0 0 0 inf",
+           "R 0 0 0 0 0 -0x1p+0",                     // Negative gpu.
+           "R 0 0 1 1 3 0x1p+0 5:3",                  // Inverted run.
+           "R 0 0 1 1 4 0x1p+0 5:6 1:2",              // Runs out of order.
+           "R 0 0 1 1 3 0x1p+0 1:2 2:2",              // Overlapping runs.
+           "R 0 0 1 1 9 0x1p+0 1:2",                  // Frames disagree with runs.
+           "R 0 0 1 1 2 0x1p+0 1:2 ",                 // Not the encoder's bytes.
+           "R 0 0 01 1 2 0x1p+0 1:2",
+           "R 0 0 1 1 2 0x1.0p+0 1:2",
+       }) {
+    SCOPED_TRACE(reply);
+    const common::Result<ShmAnswer> answer = DecodeWorkerReply(reply, 4);
+    ASSERT_FALSE(answer.ok());
+    EXPECT_EQ(answer.error().code, common::ErrorCode::kIo);
+  }
+}
+
+TEST(WorkerReplyFuzz, MutatedRepliesAreATypedErrorOrReencodeIdentically) {
+  const std::vector<std::string> corpus = WorkerReplyCorpus();
+  int decoded = 0;
+  int rejected = 0;
+  for (uint64_t seed : {1, 2, 3, 5, 8, 13, 21, 34, 55, 89}) {
+    common::Pcg32 rng(seed ^ 0x3E91);
+    for (const std::string& original : corpus) {
+      for (int trial = 0; trial < 256; ++trial) {
+        std::string mutant = original;
+        const uint32_t depth = 1 + rng.NextBounded(3);
+        for (uint32_t m = 0; m < depth; ++m) {
+          mutant = MutateLine(mutant, rng, corpus, kReplySpliceTokens);
+        }
+        (ExpectTypedErrorOrCanonicalAnswer(mutant) ? decoded : rejected) += 1;
+      }
+    }
+  }
+  // Both sides of the contract were exercised.
+  EXPECT_GT(decoded, 0);
   EXPECT_GT(rejected, 0);
 }
 

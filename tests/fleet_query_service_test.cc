@@ -10,6 +10,7 @@
 // 8-camera fleet of 30 s streams: the fixture's tuning and ingest would
 // otherwise run for many minutes at the sanitizer's slowdown.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
@@ -19,9 +20,10 @@
 #include <vector>
 
 #include "src/cnn/ground_truth.h"
+#include "src/cnn/model_zoo.h"
 #include "src/common/fault_injection.h"
 #include "src/core/fleet.h"
-#include "src/core/query_session.h"
+#include "src/core/live_snapshot.h"
 #include "src/runtime/fleet_query_service.h"
 #include "src/video/stream_generator.h"
 
@@ -253,19 +255,28 @@ TEST_F(FleetQueryServiceTest, RequestsMatchDirectStreamQuery) {
   }
 }
 
-// S2: concurrent QuerySessions routed through the shared service never re-pay
-// a centroid any of them already paid — total GT-CNN time equals the union of
-// unique centroids, while every session's own results and accounting stay
-// byte-identical to a session running on the engine directly.
-TEST_F(FleetQueryServiceTest, ConcurrentSessionsShareVerdictsAcrossTheService) {
+// S2: clients repeating a query at a growing Kx (§5: "if more objects are
+// required, we can increase Kx to extract a new batch of results") through
+// the shared service never re-pay a centroid any of them already paid. The
+// plan at a smaller Kx is a subset of the plan at a larger one, so however the
+// threads interleave, the service pays each centroid of the full-K plan
+// exactly once, and every answer equals a one-shot query at its Kx.
+TEST_F(FleetQueryServiceTest, ConcurrentKxLaddersShareVerdictsAcrossTheService) {
   const std::string camera = CameraName(1);
   const core::FocusStream* stream = fleet_->Find(camera);
   ASSERT_NE(stream, nullptr);
   const int full_k = stream->chosen_params().k;
   ASSERT_GE(full_k, 2);
-  // The union every session eventually requests: the full-width plan.
-  const size_t unique = stream->Plan(dominant_class_).work.size();
+  const std::vector<int> ladder = {1, 2, full_k};
+  // The union every client eventually requests: the full-width plan.
+  const size_t unique = stream->Plan(dominant_class_, full_k).work.size();
   ASSERT_GT(unique, 0u);
+  size_t ladder_items = 0;
+  std::vector<core::QueryResult> want;
+  for (int kx : ladder) {
+    ladder_items += stream->Plan(dominant_class_, kx).work.size();
+    want.push_back(stream->Query(dominant_class_, kx));
+  }
 
   // batch_size 1: every fresh centroid is exactly one launch of one inference,
   // so service gpu time counts paid centroids with no amortization noise.
@@ -273,103 +284,103 @@ TEST_F(FleetQueryServiceTest, ConcurrentSessionsShareVerdictsAcrossTheService) {
   options.batch_size = 1;
   FleetQueryService service(options);
 
-  constexpr int kSessions = 3;
-  std::vector<std::unique_ptr<core::QuerySession>> sessions;
-  for (int s = 0; s < kSessions; ++s) {
-    sessions.push_back(std::make_unique<core::QuerySession>(
-        &stream->ingest().index, &stream->ingest_cnn(), &stream->gt_cnn(), dominant_class_));
-    sessions.back()->SetClassifier([&service, &camera, stream](const core::QueryPlan& plan) {
-      return service.ClassifySessionPlan(camera, *stream, plan);
-    });
-  }
-  // Each session expands 1 -> 2 -> full K on its own thread; the service
-  // serializes and shares verdicts between them.
+  // Each client runs KX 1 -> 2 -> full K on its own thread; the service
+  // shares verdicts between them.
+  constexpr int kThreads = 3;
+  std::vector<std::vector<QueryExecution>> got(kThreads);
   std::vector<std::thread> threads;
-  for (auto& session : sessions) {
-    threads.emplace_back([&session, full_k] {
-      session->ExpandTo(1);
-      session->ExpandTo(2);
-      session->ExpandTo(full_k);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int kx : ladder) {
+        FleetQueryRequest request;
+        request.camera = camera;
+        request.query.stream = stream;
+        request.query.cls = dominant_class_;
+        request.query.kx = kx;
+        got[t].push_back(service.Execute(request));
+      }
     });
   }
   for (auto& thread : threads) thread.join();
-
-  // Reference: the same expansion sequence on the engine directly.
-  core::QuerySession reference(&stream->ingest().index, &stream->ingest_cnn(),
-                               &stream->gt_cnn(), dominant_class_);
-  reference.ExpandTo(1);
-  reference.ExpandTo(2);
-  reference.ExpandTo(full_k);
-  for (const auto& session : sessions) {
-    EXPECT_EQ(session->frame_runs(), reference.frame_runs());
-    EXPECT_EQ(session->total_frames(), reference.total_frames());
-    EXPECT_EQ(session->total_centroids_classified(), reference.total_centroids_classified());
-    EXPECT_DOUBLE_EQ(session->total_gpu_millis(), reference.total_gpu_millis());
+  for (const auto& executions : got) {
+    ASSERT_EQ(executions.size(), ladder.size());
+    for (size_t r = 0; r < ladder.size(); ++r) {
+      SCOPED_TRACE("kx=" + std::to_string(ladder[r]));
+      ASSERT_FALSE(executions[r].error.has_value());
+      ExpectSameQueryResult(executions[r].result, want[r]);
+    }
   }
 
-  // The service paid each unique centroid exactly once, fleet-wide.
+  // The service paid each unique centroid exactly once, fleet-wide; every
+  // other work item of every rung of every client was a cache hit.
   const FleetServiceStats stats = service.stats();
   EXPECT_EQ(stats.cache_misses, static_cast<int64_t>(unique));
-  EXPECT_EQ(stats.work_items, static_cast<int64_t>(kSessions * unique));
-  EXPECT_EQ(stats.cache_hits, static_cast<int64_t>((kSessions - 1) * unique));
+  EXPECT_EQ(stats.work_items, static_cast<int64_t>(kThreads * ladder_items));
+  EXPECT_EQ(stats.cache_hits, static_cast<int64_t>(kThreads * ladder_items - unique));
   EXPECT_EQ(stats.dedup_hits, 0);
   EXPECT_DOUBLE_EQ(stats.gpu_millis,
                    static_cast<double>(unique) * stream->gt_cnn().inference_cost_millis());
 }
 
-// Regression: a session step whose GT-CNN launch stayed failed used to store
-// its centroids as permanent "no match" verdicts and advance Kx, so later
-// expansions silently lost those clusters' frames. The failed step now
-// surfaces a typed error and records nothing; expanding again re-pays it and
-// converges to the unfaulted session.
-TEST_F(FleetQueryServiceTest, FailedSessionLaunchIsRetriedNotCachedAsNoMatch) {
-  // The first camera whose Kx = 1 step already matches frames, so losing that
-  // step's verdicts would lose frames.
+// Regression: a GT-CNN launch that stayed failed must never be cached as a
+// "no match" verdict, or later queries silently lose those clusters' frames.
+// With launches wedged from the second one on, the request surfaces a typed
+// Unavailable; the same request on the same service, unwedged, equals the
+// unfaulted answer and pays only for the centroids whose launches failed.
+TEST_F(FleetQueryServiceTest, FailedLaunchIsRetriedNotCachedAsNoMatch) {
+  // The first camera whose full-K query matches frames and admits at least
+  // two centroids past its Kx = 1 plan (so the wedged request has one launch
+  // that lands and at least one that fails).
   std::string camera;
   const core::FocusStream* stream = nullptr;
   for (int i = 0; i < kNumCameras && stream == nullptr; ++i) {
     const core::FocusStream* candidate = fleet_->Find(CameraName(i));
-    if (candidate->chosen_params().k >= 2 &&
-        core::QuerySession(&candidate->ingest().index, &candidate->ingest_cnn(),
-                           &candidate->gt_cnn(), dominant_class_)
-                .ExpandTo(1)
-                .new_frames > 0) {
+    const int k = candidate->chosen_params().k;
+    if (k >= 2 && candidate->Query(dominant_class_, k).frames_returned > 0 &&
+        candidate->Plan(dominant_class_, k).work.size() >=
+            candidate->Plan(dominant_class_, 1).work.size() + 2) {
       camera = CameraName(i);
       stream = candidate;
     }
   }
   ASSERT_NE(stream, nullptr);
   const int full_k = stream->chosen_params().k;
-
-  core::QuerySession reference(&stream->ingest().index, &stream->ingest_cnn(),
-                               &stream->gt_cnn(), dominant_class_);
-  reference.ExpandTo(1);
-  reference.ExpandTo(full_k);
+  const core::QueryResult reference = stream->Query(dominant_class_, full_k);
 
   FleetQueryService service;
-  core::QuerySession session(&stream->ingest().index, &stream->ingest_cnn(),
-                             &stream->gt_cnn(), dominant_class_);
-  session.SetClassifier([&service, &camera, stream](const core::QueryPlan& plan) {
-    return service.ClassifySessionPlan(camera, *stream, plan);
-  });
+  FleetQueryRequest request;
+  request.camera = camera;
+  request.query.stream = stream;
+  request.query.cls = dominant_class_;
+  request.query.kx = 1;
+  ASSERT_FALSE(service.Execute(request).error.has_value());  // Warm Kx = 1.
+
+  request.query.kx = full_k;
+  const FleetServiceStats before_failure = service.stats();
   {
     common::FaultPlan wedged;
-    wedged.FireAlwaysFrom("gpu.launch", 1);
+    wedged.FireAlwaysFrom("gpu.launch", 2);
     common::ScopedFaultPlan armed(&wedged);
-    const core::QueryBatch failed = session.ExpandTo(1);
+    const QueryExecution failed = service.Execute(request);
     ASSERT_TRUE(failed.error.has_value());
     EXPECT_EQ(failed.error->code, common::ErrorCode::kUnavailable);
-    EXPECT_EQ(failed.new_frames, 0);
-    EXPECT_EQ(session.current_kx(), 0);
   }
-  EXPECT_GE(service.stats().launches_failed, 1);
+  const FleetServiceStats after_failure = service.stats();
+  EXPECT_GE(after_failure.launches_failed, 1);
+  // Only verdicts whose launch landed entered the cache.
+  const int64_t landed =
+      static_cast<int64_t>(after_failure.cache_size - before_failure.cache_size);
+  const int64_t failed_items =
+      after_failure.cache_misses - before_failure.cache_misses - landed;
+  EXPECT_GT(landed, 0);
+  EXPECT_GT(failed_items, 0);
 
-  const core::QueryBatch recovered = session.ExpandTo(full_k);
+  const QueryExecution recovered = service.Execute(request);
   ASSERT_FALSE(recovered.error.has_value());
-  EXPECT_EQ(session.current_kx(), full_k);
-  EXPECT_EQ(session.frame_runs(), reference.frame_runs());
-  EXPECT_EQ(session.total_frames(), reference.total_frames());
-  EXPECT_EQ(session.total_centroids_classified(), reference.total_centroids_classified());
+  ExpectSameQueryResult(recovered.result, reference);
+  const FleetServiceStats after_retry = service.stats();
+  EXPECT_EQ(after_retry.cache_misses - after_failure.cache_misses, failed_items);
+  EXPECT_EQ(after_retry.launches_failed, after_failure.launches_failed);
 }
 
 // The verdict cache never grows past its configured capacity, and a cache too
@@ -506,6 +517,104 @@ TEST_F(FleetQueryServiceTest, TenantCountersAreBounded) {
   EXPECT_EQ(metrics.counter("fleet.tenant.t64.requests"), 0);
   EXPECT_EQ(metrics.counter("fleet.tenant_overflow.requests"), 6);
   EXPECT_EQ(metrics.counter("fleet.requests"), 71);
+}
+
+// A snapshot of |clusters| single-member clusters, all indexed under |cls| at
+// rank 1, whose centroids are the detections (first_frame + i, object i).
+std::shared_ptr<const core::LiveSnapshot> SyntheticSnapshot(common::ClassId cls,
+                                                            common::ClassId true_class,
+                                                            size_t clusters,
+                                                            common::FrameIndex first_frame) {
+  index::IndexBuilder builder;
+  index::ClusterEntry entry;
+  entry.size = 1;
+  entry.topk_classes = {cls};
+  entry.topk_ranks = {1};
+  entry.representative.true_class = true_class;
+  entry.representative.bbox = video::BBox{0.25f, 0.25f, 0.1f, 0.2f};
+  entry.members.resize(1);
+  for (size_t i = 0; i < clusters; ++i) {
+    entry.representative.frame = first_frame + static_cast<common::FrameIndex>(i);
+    entry.representative.object_id = static_cast<common::ObjectId>(i);
+    entry.members[0].object = entry.representative.object_id;
+    entry.members[0].first_frame = entry.representative.frame;
+    entry.members[0].last_frame = entry.representative.frame;
+    builder.Add(entry);
+  }
+  auto snapshot = std::make_shared<core::LiveSnapshot>();
+  snapshot->epoch = 1;
+  snapshot->watermark = first_frame + static_cast<common::FrameIndex>(clusters);
+  snapshot->index = builder.Finish();
+  return snapshot;
+}
+
+// A live camera's cache is bounded only by its capacity: fill it, then churn
+// a disjoint working set of the same size through it. The cache never passes
+// its capacity, every entry it drops is counted as evicted, and (where the
+// allocator reports heap use; sanitizer runtimes do not) the filled cache
+// costs a bounded number of heap bytes per entry — a key is three integers,
+// with no per-entry copy of the camera name — and churn grows the heap by
+// next to nothing.
+TEST(FleetQueryServiceCacheTest, CacheAtCapacityHasBoundedHeapPerEntry) {
+  constexpr size_t kCapacity = size_t{1} << 15;
+  video::ClassCatalog catalog(11);
+  cnn::Cnn cheap(cnn::GenericCheapCandidates(catalog.world_seed())[1], &catalog);
+  cnn::Cnn gt(cnn::GtCnnDesc(catalog.world_seed()), &catalog);
+  const common::ClassId cls = 1;
+  const common::ClassId lookup = cheap.MapTrueLabel(cls);
+  const auto fill = SyntheticSnapshot(lookup, cls, kCapacity, 0);
+  const auto churn =
+      SyntheticSnapshot(lookup, cls, kCapacity, static_cast<common::FrameIndex>(kCapacity));
+
+  MetricsRegistry metrics;
+  QueryServiceOptions options;
+  options.verdict_cache_capacity = kCapacity;
+  FleetQueryService service(options, &metrics);
+  auto execute = [&](const std::shared_ptr<const core::LiveSnapshot>& snapshot) {
+    FleetQueryRequest request;
+    request.camera = "live";
+    request.query.cls = cls;
+    request.query.kx = 1;
+    request.query.snapshot = snapshot;
+    request.query.ingest_cnn = &cheap;
+    request.query.gt_cnn = &gt;
+    const QueryExecution execution = service.Execute(request);
+    ASSERT_FALSE(execution.error.has_value());
+    EXPECT_EQ(execution.result.centroids_classified, static_cast<int64_t>(kCapacity));
+  };
+
+  // Each stripe holds an exact share of the capacity, so a stripe that draws
+  // more than its share of keys evicts before the cache as a whole is full.
+  const size_t heap_empty = mallinfo2().uordblks;
+  execute(fill);
+  const size_t heap_full = mallinfo2().uordblks;
+  FleetServiceStats stats = service.stats();
+  const size_t filled = stats.cache_size;
+  EXPECT_LE(filled, kCapacity);
+  EXPECT_GE(filled, kCapacity * 9 / 10);
+  EXPECT_EQ(stats.cache_misses, static_cast<int64_t>(kCapacity));
+  EXPECT_EQ(static_cast<int64_t>(filled) + stats.cache_evicted, stats.cache_misses);
+
+  execute(churn);
+  const size_t heap_churned = mallinfo2().uordblks;
+  stats = service.stats();
+  EXPECT_LE(stats.cache_size, kCapacity);
+  EXPECT_EQ(stats.cache_misses, static_cast<int64_t>(2 * kCapacity));
+  EXPECT_EQ(static_cast<int64_t>(stats.cache_size) + stats.cache_evicted, stats.cache_misses);
+
+#if !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
+  const double bytes_per_entry =
+      static_cast<double>(heap_full - heap_empty) / static_cast<double>(filled);
+  RecordProperty("cache_heap_bytes_per_entry", std::to_string(bytes_per_entry));
+  EXPECT_GT(bytes_per_entry, 0.0);
+  EXPECT_LE(bytes_per_entry, 160.0);
+  EXPECT_LE(static_cast<double>(heap_churned) - static_cast<double>(heap_full),
+            0.05 * static_cast<double>(heap_full - heap_empty));
+#else
+  (void)heap_empty;
+  (void)heap_full;
+  (void)heap_churned;
+#endif
 }
 
 }  // namespace

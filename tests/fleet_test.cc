@@ -1,14 +1,12 @@
-// Integration tests for multi-camera fleets (src/core/fleet.h) and incremental
-// query sessions (src/core/query_session.h). Built as a single-process suite: the
-// fixture constructs a two-camera fleet once and every case queries it.
+// Integration tests for multi-camera fleets (src/core/fleet.h). Built as a
+// single-process suite: the fixture constructs a two-camera fleet once and every
+// case queries it.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <set>
 
 #include "src/cnn/ground_truth.h"
 #include "src/core/fleet.h"
-#include "src/core/query_session.h"
 #include "src/video/stream_generator.h"
 
 namespace focus::core {
@@ -150,94 +148,6 @@ TEST_F(FleetTest, TotalIngestCostSumsCameras) {
                                fleet_->Find("south")->total_ingest_gpu_millis();
   EXPECT_DOUBLE_EQ(total, expected);
   EXPECT_GT(total, 0.0);
-}
-
-// --- QuerySession (§5 dynamic Kx) ---
-
-class QuerySessionTest : public FleetTest {
- protected:
-  static const FocusStream& North() { return *fleet_->Find("north"); }
-
-  static QuerySession MakeSession() {
-    const FocusStream& north = North();
-    // Session over the stream's own index and models.
-    return QuerySession(&north.ingest().index, &north.ingest_cnn(), &north.gt_cnn(),
-                        dominant_class_, {}, kFps);
-  }
-
-  static int IndexK() { return North().chosen_params().k; }
-};
-
-TEST_F(QuerySessionTest, ExpandingToFullKMatchesOneShotQuery) {
-  QuerySession session = MakeSession();
-  session.ExpandTo(IndexK());
-  QueryResult one_shot = North().Query(dominant_class_);
-  EXPECT_EQ(session.total_frames(), one_shot.frames_returned);
-  EXPECT_EQ(session.total_centroids_classified(), one_shot.centroids_classified);
-  EXPECT_DOUBLE_EQ(session.total_gpu_millis(), one_shot.gpu_millis);
-  EXPECT_EQ(session.frame_runs(), one_shot.frame_runs);
-}
-
-TEST_F(QuerySessionTest, IncrementalExpansionCostsNoMoreThanOneShot) {
-  QuerySession incremental = MakeSession();
-  for (int kx = 1; kx <= IndexK(); ++kx) {
-    incremental.ExpandTo(kx);
-  }
-  QueryResult one_shot = North().Query(dominant_class_);
-  // Centroids are never re-classified, so the total cost through any expansion
-  // sequence equals the one-shot cost at K.
-  EXPECT_EQ(incremental.total_centroids_classified(), one_shot.centroids_classified);
-  EXPECT_DOUBLE_EQ(incremental.total_gpu_millis(), one_shot.gpu_millis);
-  EXPECT_EQ(incremental.total_frames(), one_shot.frames_returned);
-}
-
-TEST_F(QuerySessionTest, BatchesAreDisjoint) {
-  QuerySession session = MakeSession();
-  std::set<common::FrameIndex> seen;
-  for (int kx = 1; kx <= IndexK(); ++kx) {
-    QueryBatch batch = session.ExpandTo(kx);
-    for (const auto& [first, last] : batch.new_frame_runs) {
-      for (common::FrameIndex f = first; f <= last; ++f) {
-        EXPECT_TRUE(seen.insert(f).second) << "frame " << f << " returned twice";
-      }
-    }
-  }
-  EXPECT_EQ(static_cast<int64_t>(seen.size()), session.total_frames());
-}
-
-TEST_F(QuerySessionTest, LowKxReturnsSomethingQuickly) {
-  QuerySession session = MakeSession();
-  QueryBatch first = session.ExpandTo(1);
-  QueryResult full = North().Query(dominant_class_);
-  // Kx=1 pays for at most the full candidate set and usually much less.
-  EXPECT_LE(first.centroids_classified, full.centroids_classified);
-  // For a dominant class the top-1 index already finds most frames.
-  EXPECT_GT(first.new_frames, 0);
-}
-
-TEST_F(QuerySessionTest, NonMonotonicExpandIsEmptyNoop) {
-  QuerySession session = MakeSession();
-  session.ExpandTo(2);
-  int64_t centroids = session.total_centroids_classified();
-  QueryBatch repeat = session.ExpandTo(2);
-  EXPECT_EQ(repeat.new_frames, 0);
-  EXPECT_EQ(repeat.centroids_classified, 0);
-  QueryBatch lower = session.ExpandTo(1);
-  EXPECT_EQ(lower.new_frames, 0);
-  EXPECT_EQ(session.total_centroids_classified(), centroids);
-}
-
-TEST_F(QuerySessionTest, TimeRangeRestrictsSessionBatches) {
-  const FocusStream& north = North();
-  common::TimeRange window{.begin_sec = 0.0, .end_sec = 60.0};
-  QuerySession session(&north.ingest().index, &north.ingest_cnn(), &north.gt_cnn(),
-                       dominant_class_, window, kFps);
-  session.ExpandTo(IndexK());
-  for (const auto& [first, last] : session.frame_runs()) {
-    EXPECT_LT(static_cast<double>(last) / kFps, window.end_sec);
-  }
-  QueryResult windowed = north.Query(dominant_class_, -1, window);
-  EXPECT_EQ(session.total_frames(), windowed.frames_returned);
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 // identical to the seed's per-centroid loop (one gt_cnn->Top1() per candidate,
 // accumulated result and accounting in candidate order). The seed loop is kept
 // here verbatim as the reference; the production paths under test are
-// QueryEngine::{Plan,ClassifyPlan,Resolve}, cnn::Cnn::ClassifyBatch /
-// BatchCostMillis, and the QuerySession re-implementation on plans.
+// QueryEngine::{Plan,ClassifyPlan,Resolve} and cnn::Cnn::ClassifyBatch /
+// BatchCostMillis.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include "src/cnn/model_zoo.h"
 #include "src/core/ingest_pipeline.h"
 #include "src/core/query_engine.h"
-#include "src/core/query_session.h"
 #include "src/video/stream_generator.h"
 
 namespace focus::core {
@@ -207,68 +206,6 @@ TEST_F(QueryBatchTest, ResolveIsVerdictDriven) {
   const QueryResult all = engine.Resolve(plan, right);
   EXPECT_EQ(all.clusters_matched, static_cast<int64_t>(plan.work.size()));
   EXPECT_GE(all.frames_returned, SeedQuery(cls, -1, {}).frames_returned);
-}
-
-TEST_F(QueryBatchTest, IncrementalPlanPartitionsTheFullPlan) {
-  QueryEngine engine(&ingest_->index, cheap_, gt_);
-  for (common::ClassId cls : *classes_) {
-    const QueryPlan full = engine.Plan(cls, kIndexK, {}, kFps);
-    // Stepping min_kx..kx through a Kx ladder visits every work item of the full
-    // plan exactly once — the invariant QuerySession::ExpandTo's never-re-pay
-    // guarantee rides on.
-    std::vector<int64_t> stepped;
-    int prev = 0;
-    for (int kx : {1, 2, 4, 8, kIndexK}) {
-      const QueryPlan step = engine.Plan(cls, kx, {}, kFps, /*min_kx=*/prev);
-      for (const CentroidWorkItem& item : step.work) {
-        stepped.push_back(item.cluster_id);
-      }
-      prev = kx;
-    }
-    std::vector<int64_t> want;
-    for (const CentroidWorkItem& item : full.work) {
-      want.push_back(item.cluster_id);
-    }
-    std::sort(stepped.begin(), stepped.end());
-    std::sort(want.begin(), want.end());
-    EXPECT_EQ(stepped, want);
-  }
-}
-
-// --- QuerySession on plans ---
-
-TEST_F(QueryBatchTest, SessionExpansionNeverRepaysAClassifiedCentroid) {
-  for (common::ClassId cls : *classes_) {
-    const QueryResult one_shot = SeedQuery(cls, kIndexK, {});
-    QuerySession session(&ingest_->index, cheap_, gt_, cls, {}, kFps);
-    int64_t total_centroids = 0;
-    common::GpuMillis total_gpu = 0.0;
-    for (int kx : {1, 2, 3, 4, 8, kIndexK}) {
-      const QueryBatch batch = session.ExpandTo(kx);
-      total_centroids += batch.centroids_classified;
-      total_gpu += batch.gpu_millis;
-    }
-    // Exactly the one-shot cost: every centroid classified once, none re-paid.
-    EXPECT_EQ(total_centroids, one_shot.centroids_classified);
-    EXPECT_EQ(session.total_centroids_classified(), one_shot.centroids_classified);
-    EXPECT_DOUBLE_EQ(total_gpu, one_shot.gpu_millis);
-    // And exactly the one-shot answer.
-    EXPECT_EQ(session.frame_runs(), one_shot.frame_runs);
-    EXPECT_EQ(session.total_frames(), one_shot.frames_returned);
-  }
-}
-
-TEST_F(QueryBatchTest, SessionWithRangeMatchesSeedRangeQuery) {
-  const common::TimeRange range{15.0, 45.0};
-  for (common::ClassId cls : *classes_) {
-    const QueryResult want = SeedQuery(cls, kIndexK, range);
-    QuerySession session(&ingest_->index, cheap_, gt_, cls, range, kFps);
-    session.ExpandTo(2);
-    session.ExpandTo(kIndexK);
-    EXPECT_EQ(session.frame_runs(), want.frame_runs);
-    EXPECT_EQ(session.total_frames(), want.frames_returned);
-    EXPECT_EQ(session.total_centroids_classified(), want.centroids_classified);
-  }
 }
 
 }  // namespace

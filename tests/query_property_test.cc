@@ -1,8 +1,7 @@
 // Property tests over the query path, parameterized across streams: monotonicity of
-// results in the dynamic Kx (§5), time-range consistency, agreement between the
-// one-shot QueryEngine and the incremental QuerySession, and index-level invariants
-// every query rests on (posting lists consistent with cluster contents, frame runs
-// within the recording).
+// results in the dynamic Kx (§5), time-range consistency, Kx plans nested up to
+// the full plan, and index-level invariants every query rests on (posting lists
+// consistent with cluster contents, frame runs within the recording).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,13 +9,13 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "src/cnn/ground_truth.h"
 #include "src/common/hashing.h"
 #include "src/cnn/model_zoo.h"
 #include "src/core/ingest_pipeline.h"
 #include "src/core/query_engine.h"
-#include "src/core/query_session.h"
 #include "src/video/stream_generator.h"
 
 namespace focus::core {
@@ -141,19 +140,30 @@ TEST_P(QueryProperty, TimeWindowedResultsAreExactlyTheClippedFullResults) {
   }
 }
 
-TEST_P(QueryProperty, SessionAtFullKMatchesEngineForEveryClass) {
+// §5's dynamic Kx is a repeat of the query at a larger Kx: the plan at a
+// smaller Kx is a subset of the plan at a larger one, and the ladder ends at
+// the full-width plan. That is what lets the shared verdict cache charge a Kx
+// ladder exactly what one query at the final Kx costs.
+TEST_P(QueryProperty, KxPlansNestUpToTheFullPlan) {
   const StreamFixture& f = FixtureFor(GetParam());
   QueryEngine engine(&f.ingest.index, f.cheap.get(), f.gt.get());
+  const auto centroids_of = [](const QueryPlan& plan) {
+    std::set<std::pair<common::FrameIndex, common::ObjectId>> ids;
+    for (const CentroidWorkItem& item : plan.work) {
+      ids.emplace(item.centroid.frame, item.centroid.object_id);
+    }
+    EXPECT_EQ(ids.size(), plan.work.size()) << "a centroid planned twice";
+    return ids;
+  };
   for (common::ClassId cls : f.query_classes) {
-    QuerySession session(&f.ingest.index, f.cheap.get(), f.gt.get(), cls, {}, kFps);
-    // Expand through an arbitrary ladder ending at the index width.
-    session.ExpandTo(1);
-    session.ExpandTo(5);
-    session.ExpandTo(kIndexK);
-    QueryResult one_shot = engine.Query(cls, -1, {}, kFps);
-    EXPECT_EQ(session.total_frames(), one_shot.frames_returned);
-    EXPECT_EQ(session.frame_runs(), one_shot.frame_runs);
-    EXPECT_EQ(session.total_centroids_classified(), one_shot.centroids_classified);
+    std::set<std::pair<common::FrameIndex, common::ObjectId>> prev;
+    for (int kx : {1, 5, kIndexK}) {
+      const auto ids = centroids_of(engine.Plan(cls, kx, {}, kFps));
+      EXPECT_TRUE(std::includes(ids.begin(), ids.end(), prev.begin(), prev.end()))
+          << "kx=" << kx;
+      prev = ids;
+    }
+    EXPECT_EQ(prev, centroids_of(engine.Plan(cls, -1, {}, kFps)));
   }
 }
 

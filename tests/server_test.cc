@@ -7,6 +7,8 @@
 #include <atomic>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "src/cnn/ground_truth.h"
 #include "src/runtime/worker_pool.h"
@@ -378,7 +380,58 @@ TEST_F(QueryServerTest, BareStatsReportsTheSharedService) {
   EXPECT_NE(warm.find(" HIT_RATE 0.5"), std::string::npos) << warm;
   // One summary line: tenants only attribute traffic, nothing is queued.
   EXPECT_EQ(warm.find('\n'), std::string::npos) << warm;
-  EXPECT_NE(warm.find(" RETIRED 0"), std::string::npos) << warm;
+  EXPECT_TRUE(warm.ends_with(" EVICTED 0")) << warm;
+}
+
+// §5's dynamic Kx over the wire is a repeat of QUERY at a larger KX. Each
+// repeat pays only for the centroids the larger KX newly admits, so after
+// every rung the service has paid, in all, exactly one query's centroids at
+// that KX; and every reply is a one-shot query at its KX, byte for byte (only
+// LATENCY_MS reflects what the cache saved). With and without a time range.
+TEST_F(QueryServerTest, GrowingKxRepeatsPayOnlyNewlyAdmittedCentroids) {
+  const core::FocusStream* north = fleet_->Find("north");
+  const common::ClassId cls = catalog_->IdForName(*dominant_name_);
+  const int full_k = north->chosen_params().k;
+  ASSERT_GE(full_k, 2);
+  // The integer after |name| in the first line of |reply|.
+  const auto field = [](const std::string& reply, const std::string& name) {
+    const std::string first_line = reply.substr(0, reply.find('\n'));
+    const size_t at = first_line.find(" " + name + " ");
+    EXPECT_NE(at, std::string::npos) << name << " in " << first_line;
+    return std::stoll(first_line.substr(at + name.size() + 2));
+  };
+  const std::pair<std::string, common::TimeRange> ranges[] = {
+      {"", {}}, {" BEGIN 30 END 90", {30.0, 90.0}}};
+  for (const auto& [range_options, range] : ranges) {
+    SCOPED_TRACE("options:" + range_options);
+    QueryServer server(fleet_, catalog_);
+    for (int kx = 1; kx <= full_k; ++kx) {
+      SCOPED_TRACE("kx=" + std::to_string(kx));
+      const std::string reply = server.HandleLine("QUERY north " + *dominant_name_ +
+                                                  range_options + " KX " + std::to_string(kx));
+      ASSERT_EQ(reply.rfind("OK FRAMES ", 0), 0u) << reply;
+
+      const core::QueryResult one_shot = north->Query(cls, kx, range);
+      std::ostringstream head;
+      head << "OK FRAMES " << one_shot.frames_returned << " RUNS "
+           << one_shot.frame_runs.size() << " CENTROIDS " << one_shot.centroids_classified
+           << " GPU_MS " << one_shot.gpu_millis << " LATENCY_MS ";
+      std::ostringstream runs;
+      for (const auto& [first, last] : one_shot.frame_runs) {
+        runs << "\nRUN " << first << " " << last;
+      }
+      EXPECT_EQ(reply.rfind(head.str(), 0), 0u) << reply;
+      const size_t body = reply.find('\n');
+      EXPECT_EQ(body == std::string::npos ? "" : reply.substr(body), runs.str());
+      if (kx == 1 && range_options.empty()) {
+        // The dominant class: the lowest Kx already finds frames.
+        EXPECT_GT(one_shot.frames_returned, 0);
+      }
+
+      EXPECT_EQ(field(server.HandleLine("STATS"), "CACHE_MISSES"),
+                one_shot.centroids_classified);
+    }
+  }
 }
 
 // TENANT attributes a request and changes nothing else: the tagged answer is

@@ -32,10 +32,10 @@
 #                      persistence race them) plus the `-L fleet` suites
 #                      (fleet_zipf_live_test: live fleet serving;
 #                      fleet_query_service_test: the executor's work items,
-#                      packer, striped verdict cache and concurrent sessions)
-#                      in a FOCUS_SANITIZE=thread build, so snapshot handoffs,
-#                      the verdict cache's lock-free cached path and epoch
-#                      retirement run race-checked. Under TSan
+#                      packer, striped verdict cache and concurrent Kx
+#                      ladders) in a FOCUS_SANITIZE=thread build, so snapshot
+#                      handoffs and the verdict cache's lock-free cached path
+#                      run race-checked. Under TSan
 #                      fleet_query_service_test builds an 8-camera fixture of
 #                      30 s streams instead of 32 cameras of 60 s (its Release
 #                      fixture, gate 1, is unchanged); every case runs at
